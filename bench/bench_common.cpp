@@ -42,13 +42,6 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("%s", banner(title + "  [" + paper_ref + "]").c_str());
 }
 
-void warn_unused(const CliArgs& args) {
-  for (const std::string& flag : args.unused()) {
-    std::fprintf(stderr, "warning: unrecognised flag --%s ignored\n",
-                 flag.c_str());
-  }
-}
-
 TrainedBoundsModel train_model(const Env& env) {
   // Train in the same regime the benches run (batch width, vector count,
   // device count): the model's features do not include batch, so a regime

@@ -53,9 +53,6 @@ Env parse_env(const CliArgs& args);
 /// Prints the bench banner with the paper artefact it regenerates.
 void print_header(const std::string& title, const std::string& paper_ref);
 
-/// Warns about unrecognised flags (call after all get()s).
-void warn_unused(const CliArgs& args);
-
 /// Trains the production Random Forest bounds model on the standard tuner
 /// corpus (Section IV-C: 300 samples, bounds searched on [0,2]^3). In
 /// --quick mode the corpus shrinks for smoke runs.

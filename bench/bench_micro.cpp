@@ -56,10 +56,11 @@ void BM_ClassifyPair(benchmark::State& state) {
   const WorkloadStream stream = micro_stream();
   ClusterSimulator sim = warmed_simulator(stream, 8);
   const VectorWorkload& vec = stream.vectors.back();
+  const ClusterIndex& index = sim.cluster_index();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        classify_pair(vec.tasks[i % vec.tasks.size()], sim));
+        classify_pair(vec.tasks[i % vec.tasks.size()], index));
     ++i;
   }
 }

@@ -13,7 +13,7 @@
 # (tools/chaos_smoke.sh: kill -9 the daemon at every scripted journal crash
 # point, restart on the same journal, and require byte-identical recovered
 # decision logs plus exactly-once idempotent resubmits), an eviction-policy
-# smoke test (all three mem/ policies on an oversubscribed workload plus a
+# smoke test (both mem/ policies on an oversubscribed workload plus a
 # daemon session with the cross-tenant memory arbiter on), an
 # ASan+UBSan-instrumented build + test pass (which covers the protocol fuzz
 # and journal torn-write suites under ASan), a TSan pass over the
@@ -81,6 +81,14 @@ trap 'rm -rf "${SMOKE_DIR}"' EXIT
 
 # The decision log must be byte-identical across identical runs.
 cmp "${SMOKE_DIR}/d1.jsonl" "${SMOKE_DIR}/d2.jsonl"
+
+# A flag the command never reads (here the retired scheduler-walk switch)
+# must draw a warning on stderr instead of passing silently.
+"${BUILD_DIR}/tools/micco" report --gpus=4 --vectors=2 --vector-size=24 \
+  --sched-incremental=off --out="${SMOKE_DIR}/r3.json" \
+  2> "${SMOKE_DIR}/unused_flag.txt"
+grep -q 'unrecognised flag --sched-incremental ignored' \
+  "${SMOKE_DIR}/unused_flag.txt"
 
 # The report must be JSON a stock parser accepts, with the headline fields.
 if command -v python3 >/dev/null 2>&1; then
@@ -171,14 +179,22 @@ echo "serve smoke test OK: deterministic decision logs + span traces," \
 
 echo "== eviction-policy smoke test =="
 # Memory co-design subsystem (DESIGN.md §11): every eviction policy must
-# complete the same oversubscribed meson workload via the CLI, and a daemon
-# session with the cross-tenant arbiter on must surface the memory section
-# in stats replies and the top dashboard.
-for policy in lru reuse-distance pin-until-last-use; do
+# complete the same oversubscribed meson workload via the CLI, a retired
+# policy name must be refused, and a daemon session with the cross-tenant
+# arbiter on must surface the memory section in stats replies and the top
+# dashboard.
+for policy in lru reuse-distance; do
   "${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 --oversub=2 \
     --evict-policy="${policy}" > "${SMOKE_DIR}/policy_${policy}.txt"
   grep -q 'eviction policy' "${SMOKE_DIR}/policy_${policy}.txt"
 done
+status=0
+"${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/w.mw" --gpus=4 --oversub=2 \
+  --evict-policy=pin-until-last-use >/dev/null 2>&1 || status=$?
+if [ "${status}" != 2 ]; then
+  echo "eviction-policy smoke test FAILED: retired policy exited ${status}" >&2
+  exit 1
+fi
 rm -f "${SMOKE_DIR}/svc.sock"
 "${BUILD_DIR}/tools/micco" serve --socket="${SMOKE_DIR}/svc.sock" \
   --gpus=4 --threads=1 --evict-policy=reuse-distance --mem-arbiter=on &
@@ -201,7 +217,7 @@ grep -q 'memory:' "${SMOKE_DIR}/arbiter_top.txt"
 grep -q 'resident_bytes' "${SMOKE_DIR}/arbiter_top.txt"
 "${BUILD_DIR}/tools/micco" drain --socket="${SMOKE_DIR}/svc.sock"
 wait "${SERVE_PID}"
-echo "eviction-policy smoke test OK: three policies ran, arbiter session" \
+echo "eviction-policy smoke test OK: two policies ran, arbiter session" \
   "surfaced per-tenant residency"
 
 echo "== chaos smoke test (kill -9 + journal recovery) =="

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
 namespace micco {
@@ -82,6 +83,15 @@ std::vector<std::string> CliArgs::unused() const {
     if (!queried_.contains(name)) result.push_back(name);
   }
   return result;
+}
+
+std::size_t warn_unused(const CliArgs& args) {
+  const std::vector<std::string> unused = args.unused();
+  for (const std::string& flag : unused) {
+    std::fprintf(stderr, "warning: unrecognised flag --%s ignored\n",
+                 flag.c_str());
+  }
+  return unused.size();
 }
 
 }  // namespace micco

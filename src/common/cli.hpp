@@ -1,8 +1,10 @@
-// Minimal command-line flag parsing for the bench/example binaries.
+// Minimal command-line flag parsing for the micco CLI and the bench/example
+// binaries.
 // Supports `--name=value`, `--name value` and boolean `--name` /
 // `--name=off` forms; unknown flags are reported, not silently ignored.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -49,5 +51,10 @@ class CliArgs {
   std::vector<std::string> positional_;
   std::optional<std::string> error_;
 };
+
+/// Prints "warning: unrecognised flag --NAME ignored" to stderr for each
+/// flag in args.unused() — call after the last get(). Returns how many
+/// flags it reported.
+std::size_t warn_unused(const CliArgs& args);
 
 }  // namespace micco

@@ -129,9 +129,9 @@ struct RunOptions {
   /// Optional eviction policy (mem/, not owned; must outlive the run).
   /// run_stream attaches it to the simulator and feeds it the per-vector
   /// future-use information (begin_vector with the visit order, observe_use
-  /// per executed pair). Detached (nullptr, the default) the simulator runs
-  /// the legacy hard-coded LRU and every log/report stays byte-identical to
-  /// pre-policy builds. Non-const: the feed hooks mutate tracker state.
+  /// per executed pair). Detached (nullptr, the default) the simulator picks
+  /// LRU victims with no policy accounting, so logs and reports carry no
+  /// policy fields. Non-const: the feed hooks mutate tracker state.
   mem::EvictionPolicy* evict_policy = nullptr;
 };
 

@@ -8,6 +8,17 @@
 
 namespace micco {
 
+namespace {
+
+/// The victim picker of runs with no policy attached. LruPolicy holds no
+/// state, so every simulator (and every oracle clone) can share it.
+const mem::EvictionPolicy& default_policy() {
+  static const mem::LruPolicy lru;
+  return lru;
+}
+
+}  // namespace
+
 ClusterSimulator::ClusterSimulator(ClusterConfig config)
     : config_(config), cost_model_(config.cost), index_(config.num_devices) {
   MICCO_EXPECTS(config_.num_devices >= 1);
@@ -174,35 +185,29 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
   // request that outlives every unpinned victim. Both are recoverable
   // (kCapacityExceeded), reachable from user-supplied workloads.
   if (bytes > d.memory.capacity()) return std::nullopt;
+  // Victims come from the attached policy, or from the shared stateless
+  // LRU when none is attached. Only an explicitly attached policy turns on
+  // the mem.* accounting below, so default runs keep their reports.
+  const mem::EvictionPolicy& policy =
+      evict_policy_ != nullptr ? *evict_policy_ : default_policy();
   double cost = 0.0;
   while (!d.memory.fits(bytes)) {
-    // Victim selection: the attached policy's pick, or — on the policy-free
-    // default path — the legacy hard-coded LRU, untouched so default runs
-    // stay byte-identical to pre-policy builds.
-    std::optional<Eviction> ev;
-    std::uint64_t reuse_distance = mem::kNoFutureUse;
-    if (evict_policy_ != nullptr) {
-      const std::optional<mem::VictimChoice> victim =
-          evict_policy_->pick_victim(d.memory);
-      if (!victim.has_value()) return std::nullopt;
-      reuse_distance = victim->reuse_distance;
-      ev = d.memory.evict(victim->id);
-    } else {
-      ev = d.memory.evict_lru();
-      if (!ev.has_value()) return std::nullopt;
-    }
-    index_remove(ev->id, dev);
+    const std::optional<mem::VictimChoice> victim =
+        policy.pick_victim(d.memory);
+    if (!victim.has_value()) return std::nullopt;
+    const Eviction ev = d.memory.evict(victim->id);
+    index_remove(ev.id, dev);
     ++metrics_.evictions;
     if (evict_policy_ != nullptr) {
-      d.evicted_ever.insert(ev->id);
+      d.evicted_ever.insert(ev.id);
       if (mem_evictions_counter_ != nullptr) mem_evictions_counter_->add();
       if (mem_evicted_bytes_counter_ != nullptr) {
-        mem_evicted_bytes_counter_->add(ev->bytes);
+        mem_evicted_bytes_counter_->add(ev.bytes);
       }
       if (mem_reuse_distance_hist_ != nullptr &&
-          reuse_distance != mem::kNoFutureUse) {
+          victim->reuse_distance != mem::kNoFutureUse) {
         mem_reuse_distance_hist_->observe(
-            static_cast<double>(reuse_distance));
+            static_cast<double>(victim->reuse_distance));
       }
     }
     cost += cost_model_.free_time();
@@ -210,22 +215,22 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
     // host memory whether or not it is dirty (pages move, they are not
     // dropped), which is what makes evictions the dominant cost of Fig. 11.
     const double eviction_cost =
-        cost_model_.free_time() + cost_model_.d2h_time(ev->bytes);
-    metrics_.writeback_bytes += ev->bytes;
-    cost += cost_model_.d2h_time(ev->bytes);
-    if (ev->dirty) ++metrics_.dirty_evictions;
-    if (produced_.contains(ev->id)) host_copies_.insert(ev->id);
+        cost_model_.free_time() + cost_model_.d2h_time(ev.bytes);
+    metrics_.writeback_bytes += ev.bytes;
+    cost += cost_model_.d2h_time(ev.bytes);
+    if (ev.dirty) ++metrics_.dirty_evictions;
+    if (produced_.contains(ev.id)) host_copies_.insert(ev.id);
     if (observing()) {
       double age = 0.0;
       if (telemetry_ != nullptr) {
-        const auto it = d.alloc_time.find(ev->id);
+        const auto it = d.alloc_time.find(ev.id);
         if (it != d.alloc_time.end()) {
           age = std::max(0.0, busy_time(dev) - it->second);
           d.alloc_time.erase(it);
         }
       }
-      pending_ops_.push_back(PendingOp{TraceEventKind::kEviction, ev->id,
-                                       eviction_cost, ev->bytes, cause, age});
+      pending_ops_.push_back(PendingOp{TraceEventKind::kEviction, ev.id,
+                                       eviction_cost, ev.bytes, cause, age});
     }
   }
   return cost;
@@ -325,8 +330,8 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
   index_add(desc.id, dev);
   if (telemetry_ != nullptr) d.alloc_time[desc.id] = busy_time(dev);
   // Re-fetch of a tensor this run already evicted from this device: the
-  // avoidable half of the eviction-caused transfer bill (policy runs only;
-  // evicted_ever is not maintained on the legacy path).
+  // avoidable half of the eviction-caused transfer bill (explicit-policy
+  // runs only; evicted_ever is not maintained otherwise).
   if (evict_policy_ != nullptr && d.evicted_ever.contains(desc.id)) {
     metrics_.eviction_refetch_bytes += bytes;
   }

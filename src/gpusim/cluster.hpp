@@ -56,20 +56,16 @@ class ClusterView : public ResidencyOracle {
 
   // -- Device health (fault tolerance) ----------------------------------
   /// False once a permanent failure of the device has been detected.
-  /// Schedulers must never assign work to a dead device. Defaults keep
-  /// fault-oblivious views (tests, oracles) valid.
-  virtual bool device_alive(DeviceId) const { return true; }
+  /// Schedulers must never assign work to a dead device.
+  virtual bool device_alive(DeviceId dev) const = 0;
 
   /// Devices still accepting work; the degradation path recomputes
   /// balanceNum over this count instead of num_devices().
-  virtual int num_alive_devices() const { return num_devices(); }
+  virtual int num_alive_devices() const = 0;
 
-  /// The incremental cluster-state index, when this view maintains one
-  /// (ClusterSimulator does). Schedulers use it for the delta-maintained
-  /// hot path; a nullptr return sends them down the recompute-from-view
-  /// reference path, so lightweight views (tests, oracles' probes) need not
-  /// implement it.
-  virtual const ClusterIndex* cluster_index() const { return nullptr; }
+  /// The incremental cluster-state index (holder bitmasks, alive mask,
+  /// flat busy/memory mirrors) the schedulers' tier walk and selection read.
+  virtual const ClusterIndex& cluster_index() const = 0;
 };
 
 /// Aggregated execution metrics for one simulated run.
@@ -90,9 +86,9 @@ struct ExecutionMetrics {
   std::uint64_t dirty_evictions = 0;
 
   // -- Eviction-policy accounting (mem/, set only while a policy is
-  // -- attached; the policy-free default leaves both at their zero values
+  // -- explicitly attached; a default run leaves both at their zero values
   // -- and neither field is serialised) ----------------------------------
-  /// Metric-safe name of the attached eviction policy ("" = legacy path).
+  /// Metric-safe name of the attached eviction policy ("" = none attached).
   std::string evict_policy;
   /// Bytes re-fetched for tensors this run had previously evicted from the
   /// fetching device — the "came back after we threw it out" half of the
@@ -210,12 +206,12 @@ class ClusterSimulator final : public ClusterView {
   bool resident_anywhere(TensorId id) const override;
   bool device_alive(DeviceId dev) const override;
   int num_alive_devices() const override;
-  const ClusterIndex* cluster_index() const override { return &index_; }
+  const ClusterIndex& cluster_index() const override { return index_; }
 
   // -- Execution --------------------------------------------------------
   /// Executes one contraction on the given device: fetches absent operands
   /// (P2P when available and enabled, otherwise H2D), allocates the output,
-  /// evicts LRU tensors on capacity pressure and advances the device
+  /// evicts policy-picked victims on capacity pressure and advances the device
   /// timeline. With a fault injector attached, transient transfer faults
   /// are retried under the configured policy and planned device failures
   /// fire here (fail-on-next-use detection). Returns how the attempt ended;
@@ -265,14 +261,13 @@ class ClusterSimulator final : public ClusterView {
   void set_telemetry(obs::Telemetry* telemetry);
 
   /// Attaches an eviction policy (mem/, nullptr detaches; not owned, must
-  /// outlive all execute() calls). Detached, make_room() runs the legacy
-  /// hard-coded LRU exactly as before the policy subsystem existed — zero
-  /// new state, byte-identical decisions, logs and reports. Attached, every
-  /// eviction victim is the policy's pick, evictions count into the
-  /// mem.evictions.<policy> / mem.evicted_bytes.<policy> counters, victim
-  /// reuse distances feed the mem.reuse_distance histogram (future-use-aware
-  /// policies only) and re-fetches of previously evicted tensors accrue into
-  /// metrics().eviction_refetch_bytes. The policy pointer is shared by
+  /// outlive all execute() calls). Detached, make_room() picks victims
+  /// through one shared stateless LruPolicy and keeps no policy accounting.
+  /// Attached, every eviction victim is the policy's pick, evictions count
+  /// into the mem.evictions.<policy> / mem.evicted_bytes.<policy> counters,
+  /// victim reuse distances feed the mem.reuse_distance histogram
+  /// (reuse-distance only) and re-fetches of previously evicted tensors
+  /// accrue into metrics().eviction_refetch_bytes. The policy pointer is shared by
   /// simulator copies (the oracle's candidate clones), which is safe because
   /// pick_victim() is const — see mem/policy.hpp's determinism rules.
   void set_eviction_policy(const mem::EvictionPolicy* policy);
@@ -411,7 +406,8 @@ class ClusterSimulator final : public ClusterView {
   TraceRecorder* trace_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
   FaultInjector* injector_ = nullptr;  ///< not owned; nullptr = fault-free
-  /// Attached eviction policy (not owned); nullptr = legacy LRU fast path.
+  /// Attached eviction policy (not owned); nullptr = the shared LruPolicy
+  /// picks victims and no policy accounting runs.
   const mem::EvictionPolicy* evict_policy_ = nullptr;
   BarrierFailures barrier_failures_;
   /// Registry instruments resolved once at set_telemetry (hot-path cheap).
@@ -422,8 +418,8 @@ class ClusterSimulator final : public ClusterView {
   /// the pattern cache pays for.
   obs::Counter* epoch_bumps_counter_ = nullptr;
   /// mem.* instruments, resolved only while BOTH telemetry and an eviction
-  /// policy are attached (resolve_mem_instruments); the policy-free default
-  /// never registers them, keeping registry snapshots byte-identical.
+  /// policy are attached (resolve_mem_instruments); a default run never
+  /// registers them, keeping its registry snapshot free of mem.* entries.
   obs::Counter* mem_evictions_counter_ = nullptr;
   obs::Counter* mem_evicted_bytes_counter_ = nullptr;
   obs::Histogram* mem_reuse_distance_hist_ = nullptr;

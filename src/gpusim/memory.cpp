@@ -84,17 +84,6 @@ void DeviceMemory::unpin(TensorId id) {
   it->second.pinned = false;
 }
 
-std::optional<Eviction> DeviceMemory::evict_lru() {
-  for (const TensorId id : lru_) {
-    const Entry& entry = entries_.at(id);
-    if (entry.pinned) continue;
-    Eviction ev{id, entry.bytes, entry.dirty};
-    release(id);
-    return ev;
-  }
-  return std::nullopt;
-}
-
 Eviction DeviceMemory::evict(TensorId id) {
   const auto it = entries_.find(id);
   MICCO_EXPECTS_MSG(it != entries_.end(), "eviction of a non-resident tensor");

@@ -2,14 +2,14 @@
 //
 // Tracks which tensors are resident in one simulated device memory, with
 // capacity accounting, pinning (current kernel operands must not be evicted
-// from under the kernel) and LRU victim selection for the oversubscription
-// experiments (Fig. 11). Dirty tensors (kernel outputs not yet on the host)
-// must be written back on eviction; clean cached inputs can be dropped.
+// from under the kernel) and the recency order that eviction policies
+// (src/mem/) pick victims from in the oversubscription experiments
+// (Fig. 11). Dirty tensors (kernel outputs not yet on the host) must be
+// written back on eviction; clean cached inputs can be dropped.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -79,11 +79,6 @@ class DeviceMemory {
   /// Pins/unpins a tensor against eviction for the duration of a kernel.
   void pin(TensorId id);
   void unpin(TensorId id);
-
-  /// Evicts the least-recently-used unpinned tensor. Returns nullopt when
-  /// every resident tensor is pinned (caller must treat this as a scheduling
-  /// bug: a single task's working set exceeded device capacity).
-  std::optional<Eviction> evict_lru();
 
   /// Evicts a specific resident tensor — the victim an eviction policy
   /// (src/mem/) selected. The tensor must be resident and unpinned.

@@ -8,7 +8,6 @@ const char* to_string(EvictPolicyKind kind) {
   switch (kind) {
     case EvictPolicyKind::kLru: return "lru";
     case EvictPolicyKind::kReuseDistance: return "reuse_distance";
-    case EvictPolicyKind::kPinUntilLastUse: return "pin_until_last_use";
   }
   return "?";
 }
@@ -18,13 +17,11 @@ std::optional<EvictPolicyKind> parse_evict_policy(const std::string& text) {
   std::replace(norm.begin(), norm.end(), '-', '_');
   if (norm == "lru") return EvictPolicyKind::kLru;
   if (norm == "reuse_distance") return EvictPolicyKind::kReuseDistance;
-  if (norm == "pin_until_last_use") return EvictPolicyKind::kPinUntilLastUse;
   return std::nullopt;
 }
 
 std::vector<EvictPolicyKind> all_evict_policies() {
-  return {EvictPolicyKind::kLru, EvictPolicyKind::kReuseDistance,
-          EvictPolicyKind::kPinUntilLastUse};
+  return {EvictPolicyKind::kLru, EvictPolicyKind::kReuseDistance};
 }
 
 void EvictionPolicy::begin_vector(const VectorWorkload&,
@@ -82,68 +79,42 @@ std::optional<VictimChoice> LruPolicy::pick_victim(
   return std::nullopt;
 }
 
-// -- FutureUsePolicy ---------------------------------------------------------
+// -- ReuseDistancePolicy -----------------------------------------------------
 
-void FutureUsePolicy::begin_vector(const VectorWorkload& vec,
-                                   const std::vector<std::size_t>& order) {
+void ReuseDistancePolicy::begin_vector(const VectorWorkload& vec,
+                                       const std::vector<std::size_t>& order) {
   tracker_.begin_vector(vec, order);
 }
 
-void FutureUsePolicy::observe_use(const ContractionTask& task,
-                                  std::int64_t pos) {
+void ReuseDistancePolicy::observe_use(const ContractionTask& task,
+                                      std::int64_t pos) {
   tracker_.observe_use(task, pos);
 }
 
-std::optional<VictimChoice> FutureUsePolicy::pick_farthest_use(
+std::optional<VictimChoice> ReuseDistancePolicy::pick_victim(
     const DeviceMemory& memory) const {
   // Never-used-again tensors carry the uint64 max sentinel, so a plain
   // strictly-greater scan makes them win outright; strict comparison keeps
   // ties on the least recently used candidate (encountered first in LRU
-  // order), which is also what pins the selection deterministically.
+  // order), which is also what pins the selection deterministically. The
+  // first never-used-again resident therefore ends the scan: nothing after
+  // it can displace it.
   std::optional<TensorId> best;
   std::uint64_t best_key = 0;
   for (const TensorId id : memory.lru_order()) {
     if (memory.pinned(id)) continue;
     const std::optional<std::int64_t> next = tracker_.next_use(id);
-    const std::uint64_t key =
-        next.has_value() ? static_cast<std::uint64_t>(*next) : kNoFutureUse;
+    if (!next.has_value()) return VictimChoice{id, kNoFutureUse};
+    const auto key = static_cast<std::uint64_t>(*next);
     if (!best.has_value() || key > best_key) {
       best = id;
       best_key = key;
     }
   }
   if (!best.has_value()) return std::nullopt;
-  std::uint64_t distance = kNoFutureUse;
-  if (best_key != kNoFutureUse) {
-    const auto cursor = static_cast<std::uint64_t>(
-        tracker_.cursor() < 0 ? 0 : tracker_.cursor());
-    distance = best_key > cursor ? best_key - cursor : 0;
-  }
-  return VictimChoice{*best, distance};
-}
-
-// -- ReuseDistancePolicy -----------------------------------------------------
-
-std::optional<VictimChoice> ReuseDistancePolicy::pick_victim(
-    const DeviceMemory& memory) const {
-  return pick_farthest_use(memory);
-}
-
-// -- PinUntilLastUsePolicy ---------------------------------------------------
-
-std::optional<VictimChoice> PinUntilLastUsePolicy::pick_victim(
-    const DeviceMemory& memory) const {
-  // Soft pass: tensors whose consumers have all run are fair game, least
-  // recently used first (they behave like LRU over the consumer-free set).
-  for (const TensorId id : memory.lru_order()) {
-    if (memory.pinned(id)) continue;
-    if (!tracker_.next_use(id).has_value()) {
-      return VictimChoice{id, kNoFutureUse};
-    }
-  }
-  // Hard pressure: every unpinned resident still has pending consumers.
-  // Spill in deterministic Belady order (farthest next use first).
-  return pick_farthest_use(memory);
+  const auto cursor = static_cast<std::uint64_t>(
+      tracker_.cursor() < 0 ? 0 : tracker_.cursor());
+  return VictimChoice{*best, best_key > cursor ? best_key - cursor : 0};
 }
 
 std::unique_ptr<EvictionPolicy> make_policy(EvictPolicyKind kind) {
@@ -151,8 +122,6 @@ std::unique_ptr<EvictionPolicy> make_policy(EvictPolicyKind kind) {
     case EvictPolicyKind::kLru: return std::make_unique<LruPolicy>();
     case EvictPolicyKind::kReuseDistance:
       return std::make_unique<ReuseDistancePolicy>();
-    case EvictPolicyKind::kPinUntilLastUse:
-      return std::make_unique<PinUntilLastUsePolicy>();
   }
   return nullptr;
 }

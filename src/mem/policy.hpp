@@ -1,25 +1,20 @@
 // Pluggable eviction policies (memory co-design subsystem, DESIGN.md §11).
 //
-// The oversubscription experiments (Fig. 11) originally ran on a hard-coded
-// per-device LRU inside DeviceMemory. The contraction graph, however, gives
-// the runtime *exact* future-use information per vector: every pair a
-// scheduler will feed to the cluster is known up front, so an eviction
-// policy can rank victims by their true next-use distance (Belady) instead
-// of by recency. This header defines the policy interface and its three
-// implementations:
+// Every eviction victim in ClusterSimulator is picked through this
+// interface. The contraction graph gives the runtime *exact* future-use
+// information per vector: every pair a scheduler will feed to the cluster
+// is known up front, so a policy can rank victims by their true next-use
+// distance (Belady) instead of by recency. Two implementations:
 //
-//   * LruPolicy            — exactly today's behavior (the default path in
-//                            ClusterSimulator stays policy-free and
-//                            byte-identical; attaching LruPolicy makes the
-//                            same decisions through the policy interface).
+//   * LruPolicy            — the least recently used unpinned resident. A
+//                            run with no policy attached picks its victims
+//                            through one shared LruPolicy; attaching one
+//                            explicitly makes the same picks and also
+//                            switches on the mem.* accounting.
 //   * ReuseDistancePolicy  — evicts the unpinned resident whose next use is
 //                            farthest in the vector's remaining pair
 //                            sequence (never-used-again wins outright);
 //                            ties break toward the least recently used.
-//   * PinUntilLastUsePolicy— tensors with pending consumers are evicted
-//                            only under hard pressure (nothing consumer-
-//                            free is left unpinned); the pressure spill
-//                            order is deterministic Belady order.
 //
 // Determinism rules. pick_victim() is const and must read only the memory
 // state plus the tracker state fed by run_stream — the oracle scheduler
@@ -46,12 +41,11 @@ namespace micco::mem {
 enum class EvictPolicyKind : std::uint8_t {
   kLru,
   kReuseDistance,
-  kPinUntilLastUse,
 };
 
-/// Metric-segment-safe policy name ("lru", "reuse_distance",
-/// "pin_until_last_use") — used verbatim in mem.evictions.<policy> and in
-/// run reports, so it must never contain a dot.
+/// Metric-segment-safe policy name ("lru", "reuse_distance") — used
+/// verbatim in mem.evictions.<policy> and in run reports, so it must never
+/// contain a dot.
 const char* to_string(EvictPolicyKind kind);
 
 /// Accepts both hyphenated CLI spellings ("reuse-distance") and the
@@ -118,9 +112,9 @@ class EvictionPolicy {
   const char* name() const { return to_string(kind()); }
 
   /// Selects the next victim among the unpinned residents of `memory`, or
-  /// nullopt when everything resident is pinned (the caller escalates this
-  /// exactly as the legacy evict_lru() nullopt). Const on purpose — see the
-  /// determinism rules in the header comment.
+  /// nullopt when everything resident is pinned (the caller reports the
+  /// request as unsatisfiable). Const on purpose — see the determinism rules
+  /// in the header comment.
   virtual std::optional<VictimChoice> pick_victim(
       const DeviceMemory& memory) const = 0;
 
@@ -130,8 +124,8 @@ class EvictionPolicy {
   virtual void observe_use(const ContractionTask& task, std::int64_t pos);
 };
 
-/// The extracted legacy behavior: least recently used unpinned resident.
-/// Decision-for-decision identical to DeviceMemory::evict_lru().
+/// Least recently used unpinned resident. Stateless, so one instance can
+/// serve every simulator (the policy-free default shares one).
 class LruPolicy final : public EvictionPolicy {
  public:
   EvictPolicyKind kind() const override { return EvictPolicyKind::kLru; }
@@ -139,43 +133,22 @@ class LruPolicy final : public EvictionPolicy {
       const DeviceMemory& memory) const override;
 };
 
-/// Shared base of the future-use-aware policies: owns the tracker and wires
-/// the feed hooks into it.
-class FutureUsePolicy : public EvictionPolicy {
- public:
-  void begin_vector(const VectorWorkload& vec,
-                    const std::vector<std::size_t>& order) override;
-  void observe_use(const ContractionTask& task, std::int64_t pos) override;
-
-  const FutureUseTracker& tracker() const { return tracker_; }
-
- protected:
-  /// Belady selection: the unpinned resident with the farthest next use
-  /// (never-used-again counts as infinitely far); ties toward the least
-  /// recently used. Shared by ReuseDistance (always) and PinUntilLastUse
-  /// (pressure spill).
-  std::optional<VictimChoice> pick_farthest_use(
-      const DeviceMemory& memory) const;
-
-  FutureUseTracker tracker_;
-};
-
-class ReuseDistancePolicy final : public FutureUsePolicy {
+/// Belady selection over the vector's known future uses: the unpinned
+/// resident with the farthest next use, never-used-again counting as
+/// infinitely far; ties toward the least recently used.
+class ReuseDistancePolicy final : public EvictionPolicy {
  public:
   EvictPolicyKind kind() const override {
     return EvictPolicyKind::kReuseDistance;
   }
   std::optional<VictimChoice> pick_victim(
       const DeviceMemory& memory) const override;
-};
+  void begin_vector(const VectorWorkload& vec,
+                    const std::vector<std::size_t>& order) override;
+  void observe_use(const ContractionTask& task, std::int64_t pos) override;
 
-class PinUntilLastUsePolicy final : public FutureUsePolicy {
- public:
-  EvictPolicyKind kind() const override {
-    return EvictPolicyKind::kPinUntilLastUse;
-  }
-  std::optional<VictimChoice> pick_victim(
-      const DeviceMemory& memory) const override;
+ private:
+  FutureUseTracker tracker_;
 };
 
 std::unique_ptr<EvictionPolicy> make_policy(EvictPolicyKind kind);

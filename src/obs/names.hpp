@@ -49,10 +49,8 @@ inline constexpr const char* kSchedTier[3] = {
 
 /// Epoch-keyed reuse-pattern cache (incremental scheduler core): a hit
 /// answers classification from the cached (pair, epochs) entry, a miss
-/// recomputes it against the residency index. Registered only while the
-/// incremental path is active — the --sched-incremental=off escape hatch
-/// has no cache, and these two counters are the single intentional report
-/// difference between the two modes.
+/// recomputes it against the residency index. Registered whenever
+/// telemetry is attached to a scheduler.
 inline constexpr const char* kSchedPatternCacheHits =
     "sched.pattern_cache.hits";
 inline constexpr const char* kSchedPatternCacheMisses =
@@ -75,9 +73,9 @@ inline constexpr const char* kDeviceBusySSuffix = "busy_s";
 // -- mem.* (memory co-design subsystem, DESIGN.md §11) ---------------------
 /// Per-policy eviction counters: "mem.evictions.<policy>" /
 /// "mem.evicted_bytes.<policy>" with the policy's metric-safe name ("lru",
-/// "reuse_distance", "pin_until_last_use") appended via mem_policy_metric().
-/// Registered only while an eviction policy is attached — the policy-free
-/// default path keeps registry snapshots byte-identical to pre-policy runs.
+/// "reuse_distance") appended via mem_policy_metric(). Registered only while
+/// an eviction policy is explicitly attached — a default run's registry
+/// snapshot carries no mem.* entries.
 inline constexpr const char* kMemEvictionsPrefix = "mem.evictions.";
 inline constexpr const char* kMemEvictedBytesPrefix = "mem.evicted_bytes.";
 /// Victim next-use distance (pairs until reuse) observed at each eviction by

@@ -156,63 +156,6 @@ void MiccoScheduler::push_unique(DeviceId dev) {
 }
 
 void MiccoScheduler::gather_candidates(const ContractionTask& task,
-                                       const ClusterView& view, int& tier,
-                                       bool& fallback) {
-  const std::vector<DeviceId>& holders_a = view.devices_holding(task.a.id);
-  const std::vector<DeviceId>& holders_b = view.devices_holding(task.b.id);
-
-  // Step I — data-centric, TwoRepeatedSame tier: devices holding BOTH
-  // tensors, gated by reuse bound 0 (Alg. 1, lines 4-7).
-  for (const DeviceId dev : holders_a) {
-    const bool holds_both =
-        std::find(holders_b.begin(), holders_b.end(), dev) != holders_b.end();
-    if (holds_both && available(dev, 0)) push_unique(dev);
-  }
-  if (!candidates_.empty()) {
-    tier = 0;
-    return;
-  }
-
-  // Step II — one-reused tier: devices holding either tensor, gated by
-  // reuse bound 1 (Alg. 1, lines 8-14). Entered both for the
-  // TwoRepeatedDiff / OneRepeated patterns and when every TwoRepeatedSame
-  // device failed its availability test.
-  if (!holders_a.empty() || !holders_b.empty()) {
-    for (const DeviceId dev : holders_a) {
-      if (available(dev, 1)) push_unique(dev);
-    }
-    for (const DeviceId dev : holders_b) {
-      if (available(dev, 1)) push_unique(dev);
-    }
-    if (!candidates_.empty()) {
-      tier = 1;
-      return;
-    }
-  }
-
-  // Step II' — TwoNew tier: any alive device under reuse bound 2 (lines
-  // 15-18). Tiers I/II need no filter: residency dies with a device, so
-  // holder lists only ever name survivors.
-  for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {
-    if (view.device_alive(dev) && available(dev, 2)) {
-      push_unique(dev);
-    }
-  }
-  if (!candidates_.empty()) {
-    tier = 2;
-    return;
-  }
-
-  // Fallback the pseudocode leaves implicit: when every device exceeds even
-  // the TwoNew bound (possible late in a vector with small bounds and an
-  // uneven tensor count), consider all survivors so the pair is still placed.
-  fallback = true;
-  for (DeviceId dev = 0; dev < view.num_devices(); ++dev) {
-    if (view.device_alive(dev)) candidates_.push_back(dev);
-  }
-}
-
-void MiccoScheduler::gather_candidates(const ContractionTask& task,
                                        const ClusterIndex& index, int& tier,
                                        bool& fallback) {
   const ClusterIndex::Residency* res_a = index.find(task.a.id);
@@ -220,8 +163,9 @@ void MiccoScheduler::gather_candidates(const ContractionTask& task,
   const bool a_resident = res_a != nullptr && !res_a->holders.empty();
   const bool b_resident = res_b != nullptr && !res_b->holders.empty();
 
-  // Step I — the holders_a walk keeps the reference path's enumeration
-  // order; the membership scan over holders_b collapses to one bit test.
+  // Step I — data-centric, TwoRepeatedSame tier: devices holding BOTH
+  // tensors, gated by reuse bound 0 (Alg. 1, lines 4-7). Holders of A in
+  // placement order; membership in B is one bit test.
   if (a_resident && b_resident) {
     for (const DeviceId dev : res_a->holders) {
       if (res_b->holds(dev) && available(dev, 0)) push_unique(dev);
@@ -232,8 +176,10 @@ void MiccoScheduler::gather_candidates(const ContractionTask& task,
     return;
   }
 
-  // Step II — holders of either tensor, in holders_a-then-holders_b order
-  // exactly as the reference path enumerates them.
+  // Step II — one-reused tier: devices holding either tensor (holders of A,
+  // then of B), gated by reuse bound 1 (Alg. 1, lines 8-14). Entered both
+  // for the TwoRepeatedDiff / OneRepeated patterns and when every
+  // TwoRepeatedSame device failed its availability test.
   if (a_resident || b_resident) {
     if (a_resident) {
       for (const DeviceId dev : res_a->holders) {
@@ -251,8 +197,10 @@ void MiccoScheduler::gather_candidates(const ContractionTask& task,
     }
   }
 
-  // Step II' — alive devices in ascending id order via the alive-mask word
-  // scan (bit position == device id, so set-bit order is ascending).
+  // Step II' — TwoNew tier: any alive device under reuse bound 2 (lines
+  // 15-18), in ascending id order via the alive-mask word scan (bit
+  // position == device id). Tiers I/II need no filter: residency dies with
+  // a device, so holder lists only ever name survivors.
   const std::vector<std::uint64_t>& alive = index.alive_mask();
   for (std::size_t w = 0; w < alive.size(); ++w) {
     std::uint64_t bits = alive[w];
@@ -269,7 +217,9 @@ void MiccoScheduler::gather_candidates(const ContractionTask& task,
     return;
   }
 
-  // Fallback: all survivors, ascending.
+  // Fallback the pseudocode leaves implicit: when every device exceeds even
+  // the TwoNew bound (possible late in a vector with small bounds and an
+  // uneven tensor count), consider all survivors so the pair is still placed.
   fallback = true;
   for (std::size_t w = 0; w < alive.size(); ++w) {
     std::uint64_t bits = alive[w];
@@ -287,21 +237,14 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
                                 const ClusterView& view) {
   MICCO_EXPECTS_MSG(counts_.size() > 0,
                     "begin_vector must run before assign");
-  const ClusterIndex* index =
-      sched_incremental() ? view.cluster_index() : nullptr;
+  const ClusterIndex& index = view.cluster_index();
 
   candidates_.clear();
   std::fill(candidate_mask_.begin(), candidate_mask_.end(), 0);
   int tier = -1;        ///< reuse-bound tier that produced the candidates
   bool fallback = false;
-  DeviceId chosen = kNoDevice;
-  if (index != nullptr) {
-    gather_candidates(task, *index, tier, fallback);
-    chosen = select_from_candidates(candidates_, task, *index);
-  } else {
-    gather_candidates(task, view, tier, fallback);
-    chosen = select_from_candidates(candidates_, task, view);
-  }
+  gather_candidates(task, index, tier, fallback);
+  const DeviceId chosen = select_from_candidates(candidates_, task, index);
 
   if (telemetry_ != nullptr) {
     // Slack the winner had already consumed beyond its balanced share when
@@ -321,12 +264,53 @@ DeviceId MiccoScheduler::assign(const ContractionTask& task,
   return chosen;
 }
 
-DeviceId MiccoScheduler::pick_best(const std::vector<DeviceId>& candidates) {
+DeviceId MiccoScheduler::select_from_candidates(
+    const std::vector<DeviceId>& candidates, const ContractionTask& task,
+    const ClusterIndex& index) {
+  MICCO_EXPECTS(!candidates.empty());
+
+  const std::uint64_t* mem_used = index.memory_used_data();
+  const std::uint64_t* mem_capacity = index.memory_capacity_data();
+  const double* busy = index.busy_data();
+
+  // Step III — detect oversubscription among the candidates (Alg. 2,
+  // lines 3-5): would placing this pair push any candidate past capacity?
+  bool evict_risk = false;
+  if (options_.eviction_sensitive) {
+    for (const DeviceId dev : candidates) {
+      const std::uint64_t needed = bytes_needed_on(task, dev, index);
+      const auto d = static_cast<std::size_t>(dev);
+      if (mem_used[d] + needed > mem_capacity[d]) {
+        evict_risk = true;
+        break;
+      }
+    }
+  }
+  last_evict_risk_ = evict_risk;
+
+  // Primary/secondary keys swap between the computation-centric policy
+  // (least-loaded device, then most free memory) and the memory-eviction-
+  // sensitive policy (most free memory, then least-loaded). Load is the
+  // device's accumulated timeline (mapGPUCom): kernels plus the memory
+  // operations earlier assignments induced — balancing on raw FLOPs alone
+  // would let transfer-heavy devices fall behind and waste the stage
+  // barrier. Keys are gathered SoA from the flat device mirrors.
+  const std::size_t n = candidates.size();
+  cand_primary_.resize(n);
+  cand_secondary_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto d = static_cast<std::size_t>(candidates[i]);
+    const double load = busy[d];
+    const double used = static_cast<double>(mem_used[d]);
+    cand_primary_[i] = evict_risk ? used : load;
+    cand_secondary_[i] = evict_risk ? load : used;
+  }
+
   // Exact ties on both keys break randomly (Alg. 2, lines 9/15).
   best_.clear();
   double best_primary = std::numeric_limits<double>::infinity();
   double best_secondary = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const double primary = cand_primary_[i];
     const double secondary = cand_secondary_[i];
     if (primary < best_primary ||
@@ -342,82 +326,6 @@ DeviceId MiccoScheduler::pick_best(const std::vector<DeviceId>& candidates) {
 
   if (best_.size() == 1) return best_.front();
   return best_[rng_.uniform_below(static_cast<std::uint32_t>(best_.size()))];
-}
-
-DeviceId MiccoScheduler::select_from_candidates(
-    const std::vector<DeviceId>& candidates, const ContractionTask& task,
-    const ClusterView& view) {
-  MICCO_EXPECTS(!candidates.empty());
-
-  // Step III — detect oversubscription among the candidates (Alg. 2,
-  // lines 3-5): would placing this pair push any candidate past capacity?
-  bool evict_risk = false;
-  if (options_.eviction_sensitive) {
-    for (const DeviceId dev : candidates) {
-      const std::uint64_t needed = bytes_needed_on(task, dev, view);
-      if (view.memory_used(dev) + needed > view.memory_capacity(dev)) {
-        evict_risk = true;
-        break;
-      }
-    }
-  }
-  last_evict_risk_ = evict_risk;
-
-  // Primary/secondary keys swap between the computation-centric policy
-  // (least-loaded device, then most free memory) and the memory-eviction-
-  // sensitive policy (most free memory, then least-loaded). Load is the
-  // device's accumulated timeline (mapGPUCom): kernels plus the memory
-  // operations earlier assignments induced — balancing on raw FLOPs alone
-  // would let transfer-heavy devices fall behind and waste the stage
-  // barrier.
-  const std::size_t n = candidates.size();
-  cand_primary_.resize(n);
-  cand_secondary_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double busy = view.busy_time(candidates[i]);
-    const double used = static_cast<double>(view.memory_used(candidates[i]));
-    cand_primary_[i] = evict_risk ? used : busy;
-    cand_secondary_[i] = evict_risk ? busy : used;
-  }
-  return pick_best(candidates);
-}
-
-DeviceId MiccoScheduler::select_from_candidates(
-    const std::vector<DeviceId>& candidates, const ContractionTask& task,
-    const ClusterIndex& index) {
-  MICCO_EXPECTS(!candidates.empty());
-
-  const std::uint64_t* mem_used = index.memory_used_data();
-  const std::uint64_t* mem_capacity = index.memory_capacity_data();
-  const double* busy = index.busy_data();
-
-  bool evict_risk = false;
-  if (options_.eviction_sensitive) {
-    for (const DeviceId dev : candidates) {
-      const std::uint64_t needed = bytes_needed_on(task, dev, index);
-      const auto d = static_cast<std::size_t>(dev);
-      if (mem_used[d] + needed > mem_capacity[d]) {
-        evict_risk = true;
-        break;
-      }
-    }
-  }
-  last_evict_risk_ = evict_risk;
-
-  // SoA gather from the flat device mirrors — same doubles the view path
-  // reads through virtual calls, so comparisons (and tie sets) agree
-  // bit-for-bit.
-  const std::size_t n = candidates.size();
-  cand_primary_.resize(n);
-  cand_secondary_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto d = static_cast<std::size_t>(candidates[i]);
-    const double load = busy[d];
-    const double used = static_cast<double>(mem_used[d]);
-    cand_primary_[i] = evict_risk ? used : load;
-    cand_secondary_[i] = evict_risk ? load : used;
-  }
-  return pick_best(candidates);
 }
 
 }  // namespace micco

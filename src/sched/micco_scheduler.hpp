@@ -8,14 +8,11 @@
 //   * memory-eviction-sensitive — if any candidate would oversubscribe,
 //                         pick the device with the most free memory instead.
 //
-// Two equivalent hot paths implement the tier walk and Alg. 2 selection
-// (DESIGN.md §9): the incremental path reads the cluster's delta-maintained
-// ClusterIndex (holder bitmasks, alive-mask word scan, SoA key arrays over
-// flat busy/memory mirrors), the reference path recomputes everything from
-// ClusterView queries. Both enumerate candidates in the same order, compare
-// the same doubles and draw the same tie-break randomness, so decision logs
-// are byte-identical; sched_incremental() picks the path at run time (the
-// --sched-incremental=off escape hatch, kept for one release).
+// The tier walk and Alg. 2 selection read the cluster's delta-maintained
+// ClusterIndex (DESIGN.md §9): holder bitmasks for the data-centric tiers,
+// an alive-mask word scan for the TwoNew tier and the fallback, and SoA key
+// arrays gathered from the flat busy/memory mirrors for the argmin. Golden
+// digests of the decision logs pin the walk's output.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +34,6 @@ namespace micco {
 /// every device's generation (an O(devices) reset instead of freeing every
 /// node of an unordered_set), a device failure bumps only the casualty's.
 /// A slot whose stamp differs from the table's current generation is free.
-/// Both scheduler paths share this accounting — only the per-device counts
-/// are observable, so the container swap cannot perturb decisions.
 class DistinctTensorCounts {
  public:
   /// Starts a fresh vector over `num_devices` tables (capacity retained).
@@ -113,27 +108,17 @@ class MiccoScheduler final : public Scheduler {
   bool available(DeviceId dev, std::size_t bound_index) const;
 
   /// Alg. 1's tier walk: fills candidates_ and reports the admitting tier
-  /// (-1 with fallback when every tier ran dry). The two overloads must
-  /// enumerate identical candidates in identical order.
-  void gather_candidates(const ContractionTask& task, const ClusterView& view,
-                         int& tier, bool& fallback);
+  /// (-1 with fallback when every tier ran dry).
   void gather_candidates(const ContractionTask& task,
                          const ClusterIndex& index, int& tier, bool& fallback);
 
   /// Alg. 2: selects from the candidate queue, switching between the
-  /// computation-centric and memory-eviction-sensitive policies. The index
-  /// overload gathers the primary/secondary keys into SoA scratch arrays
-  /// first and runs the argmin over flat doubles.
-  DeviceId select_from_candidates(const std::vector<DeviceId>& candidates,
-                                  const ContractionTask& task,
-                                  const ClusterView& view);
+  /// computation-centric and memory-eviction-sensitive policies. Gathers the
+  /// primary/secondary keys into SoA scratch arrays, then runs the argmin
+  /// over flat doubles; exact ties break randomly.
   DeviceId select_from_candidates(const std::vector<DeviceId>& candidates,
                                   const ContractionTask& task,
                                   const ClusterIndex& index);
-
-  /// Shared argmin tail of both select overloads: scans the key arrays,
-  /// collects exact ties and applies the random tie-break.
-  DeviceId pick_best(const std::vector<DeviceId>& candidates);
 
   MiccoSchedulerOptions options_;
   ReuseBounds bounds_;
@@ -163,7 +148,7 @@ class MiccoScheduler final : public Scheduler {
   /// Membership bitmask over device ids backing push_unique: one word for
   /// the common numGPU <= 64 case, more for larger clusters.
   std::vector<std::uint64_t> candidate_mask_;
-  /// SoA selection keys, parallel to candidates_ (index path).
+  /// SoA selection keys, parallel to candidates_.
   std::vector<double> cand_primary_;
   std::vector<double> cand_secondary_;
   /// Tie set of select_from_candidates.

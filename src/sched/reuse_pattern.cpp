@@ -14,26 +14,6 @@ const char* to_string(LocalReusePattern p) {
   return "?";
 }
 
-LocalReusePattern classify_pair(const ContractionTask& task,
-                                const ClusterView& view) {
-  const std::vector<DeviceId>& holders_a = view.devices_holding(task.a.id);
-  const std::vector<DeviceId>& holders_b = view.devices_holding(task.b.id);
-
-  if (holders_a.empty() && holders_b.empty()) {
-    return LocalReusePattern::kTwoNew;
-  }
-  if (holders_a.empty() || holders_b.empty()) {
-    return LocalReusePattern::kOneRepeated;
-  }
-  const bool overlap = std::any_of(
-      holders_a.begin(), holders_a.end(), [&](DeviceId dev) {
-        return std::find(holders_b.begin(), holders_b.end(), dev) !=
-               holders_b.end();
-      });
-  return overlap ? LocalReusePattern::kTwoRepeatedSame
-                 : LocalReusePattern::kTwoRepeatedDiff;
-}
-
 namespace {
 
 /// True when the two tensors share at least one holder device (bitmask
@@ -101,16 +81,6 @@ const char* to_string(MappingClass m) {
 }
 
 MappingClass classify_mapping(const ContractionTask& task, DeviceId dev,
-                              const ClusterView& view) {
-  const bool a_here = view.resident_on(dev, task.a.id);
-  const bool b_here = view.resident_on(dev, task.b.id);
-  if (a_here && b_here) return MappingClass::kBothReused;
-  if (a_here) return MappingClass::kFirstReused;
-  if (b_here) return MappingClass::kSecondReused;
-  return MappingClass::kNoneReused;
-}
-
-MappingClass classify_mapping(const ContractionTask& task, DeviceId dev,
                               const ClusterIndex& index) {
   const bool a_here = index.holds(dev, task.a.id);
   const bool b_here = index.holds(dev, task.b.id);
@@ -128,17 +98,6 @@ int fetches_for(MappingClass m) {
     case MappingClass::kNoneReused: return 2;
   }
   return 2;
-}
-
-std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,
-                              const ClusterView& view) {
-  std::uint64_t bytes = task.out.bytes();
-  if (!view.resident_on(dev, task.a.id)) bytes += task.a.bytes();
-  const bool same_operand = task.a.id == task.b.id;
-  if (!same_operand && !view.resident_on(dev, task.b.id)) {
-    bytes += task.b.bytes();
-  }
-  return bytes;
 }
 
 std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,

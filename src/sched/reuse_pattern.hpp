@@ -4,12 +4,10 @@
 // into one of four patterns; together with the chosen device this fixes the
 // memory-operation cost of the assignment (the seven canonical mappings).
 //
-// Each query exists in two forms: the original recompute-from-view form, and
-// an overload over the incremental ClusterIndex that answers the same
-// question from bitmask intersections instead of holder-list scans. The two
-// forms return identical results on identical state — the byte-identity
-// tests hold the schedulers to that. PatternCache sits on top of the index
-// form, memoizing classifications per (pair, residency epochs).
+// Every query reads the cluster's incremental ClusterIndex: overlap comes
+// from holder-bitmask intersections, membership from one bit test.
+// PatternCache sits on top, memoizing classifications per (pair, residency
+// epochs).
 #pragma once
 
 #include <cstdint>
@@ -30,12 +28,8 @@ enum class LocalReusePattern {
 
 const char* to_string(LocalReusePattern p);
 
-/// Classifies a pair against the cluster's residency state.
-LocalReusePattern classify_pair(const ContractionTask& task,
-                                const ClusterView& view);
-
-/// Index form: emptiness from the holder lists, overlap from the bitmask
-/// intersection. Identical result to the view form.
+/// Classifies a pair against the cluster's residency state: emptiness from
+/// the holder lists, overlap from the bitmask intersection.
 LocalReusePattern classify_pair(const ContractionTask& task,
                                 const ClusterIndex& index);
 
@@ -52,8 +46,6 @@ enum class MappingClass {
 const char* to_string(MappingClass m);
 
 MappingClass classify_mapping(const ContractionTask& task, DeviceId dev,
-                              const ClusterView& view);
-MappingClass classify_mapping(const ContractionTask& task, DeviceId dev,
                               const ClusterIndex& index);
 
 /// Number of operand fetches (memory allocation + communication pairs) the
@@ -63,8 +55,6 @@ int fetches_for(MappingClass m);
 /// Bytes that must move onto `dev` to run `task` there (absent operands plus
 /// the output allocation). The eviction-sensitive policy compares this
 /// against the device's headroom.
-std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,
-                              const ClusterView& view);
 std::uint64_t bytes_needed_on(const ContractionTask& task, DeviceId dev,
                               const ClusterIndex& index);
 

@@ -5,15 +5,6 @@
 
 namespace micco {
 
-namespace {
-/// Configuration-time switch (CLI parse / test setup); read-only while
-/// decisions are in flight, so no synchronisation is needed.
-bool g_sched_incremental = true;
-}  // namespace
-
-void set_sched_incremental(bool on) { g_sched_incremental = on; }
-bool sched_incremental() { return g_sched_incremental; }
-
 void Scheduler::set_telemetry(obs::Telemetry* telemetry) {
   telemetry_ = telemetry;
   if (telemetry_ == nullptr) {
@@ -22,15 +13,9 @@ void Scheduler::set_telemetry(obs::Telemetry* telemetry) {
     return;
   }
   obs::MetricsRegistry& reg = telemetry_->registry;
-  // The cache only runs on the incremental path; registering its counters
-  // under the escape hatch would pollute off-mode reports with dead zeros.
-  if (sched_incremental()) {
-    pattern_cache_.set_counters(
-        &reg.counter(obs::names::kSchedPatternCacheHits),
-        &reg.counter(obs::names::kSchedPatternCacheMisses));
-  } else {
-    pattern_cache_.set_counters(nullptr, nullptr);
-  }
+  pattern_cache_.set_counters(
+      &reg.counter(obs::names::kSchedPatternCacheHits),
+      &reg.counter(obs::names::kSchedPatternCacheMisses));
   instruments_.decisions = &reg.counter(obs::names::kSchedDecisions);
   for (int i = 0; i < 4; ++i) {
     instruments_.pattern[i] = &reg.counter(obs::names::kSchedPattern[i]);
@@ -69,17 +54,12 @@ void Scheduler::record_decision(const ContractionTask& task,
   if (telemetry_ == nullptr) return;
 
   // The mapping is classified against residency *before* execution mutates
-  // it, which is exactly the state the decision was made on. With the
-  // incremental index available, classification goes through the epoch-keyed
-  // cache (hot pairs re-classify only after a residency change).
-  const ClusterIndex* index =
-      sched_incremental() ? view.cluster_index() : nullptr;
-  const LocalReusePattern pattern = index != nullptr
-                                        ? pattern_cache_.classify(task, *index)
-                                        : classify_pair(task, view);
-  const MappingClass mapping = index != nullptr
-                                   ? classify_mapping(task, chosen, *index)
-                                   : classify_mapping(task, chosen, view);
+  // it, which is exactly the state the decision was made on. Classification
+  // goes through the epoch-keyed cache (hot pairs re-classify only after a
+  // residency change).
+  const ClusterIndex& index = view.cluster_index();
+  const LocalReusePattern pattern = pattern_cache_.classify(task, index);
+  const MappingClass mapping = classify_mapping(task, chosen, index);
 
   instruments_.decisions->add();
   instruments_.pattern[static_cast<int>(pattern)]->add();

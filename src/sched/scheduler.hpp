@@ -18,15 +18,6 @@
 
 namespace micco {
 
-/// Process-global switch for the incremental scheduler core. On (the
-/// default), schedulers consume the cluster's delta-maintained ClusterIndex
-/// (flat residency/load/headroom arrays, epoch-keyed pattern cache); off is
-/// the recompute-from-view escape hatch kept for one release, byte-identical
-/// in every decision log. Set at configuration time (CLI parse), never
-/// mid-run.
-void set_sched_incremental(bool on);
-bool sched_incremental();
-
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -63,7 +54,7 @@ class Scheduler {
   virtual void set_telemetry(obs::Telemetry* telemetry);
 
   /// The epoch-keyed pattern cache backing record_decision's classification
-  /// on the incremental path (hit/miss counts exposed for tests and tools).
+  /// (hit/miss counts exposed for tests and tools).
   const PatternCache& pattern_cache() const { return pattern_cache_; }
 
  protected:
@@ -101,8 +92,8 @@ class Scheduler {
   };
   DecisionInstruments instruments_;
   std::vector<DeviceId> candidate_scratch_;
-  /// Memoizes classify_pair per (pair, residency epochs) when the view
-  /// offers a ClusterIndex and the incremental core is on.
+  /// Memoizes classify_pair per (pair, residency epochs) over the view's
+  /// ClusterIndex.
   PatternCache pattern_cache_;
 };
 

@@ -95,8 +95,8 @@ struct ServerConfig {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
   /// Optional eviction policy for every job's simulator (mem/, DESIGN.md
-  /// §11). Unset: the legacy LRU default path — decision logs, reports and
-  /// traces stay byte-identical to pre-policy sessions. A fresh policy
+  /// §11). Unset: LRU victims with no policy accounting — decision logs,
+  /// reports and traces carry no policy fields. A fresh policy
   /// instance is built per job, so tracker state never leaks across jobs.
   std::optional<mem::EvictPolicyKind> evict_policy;
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace micco {
 namespace {
 
@@ -72,6 +74,26 @@ TEST(CliArgs, UnusedFlagsReported) {
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
+}
+
+TEST(CliArgs, WarnUnusedNamesEachUnreadFlagOnStderr) {
+  const CliArgs args =
+      parse({"--evict-polcy=lru", "--gpus=4", "--sched-incremental=off"});
+  (void)args.get_int("gpus", 8);
+  ::testing::internal::CaptureStderr();
+  const std::size_t reported = warn_unused(args);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(reported, 2u);
+  EXPECT_EQ(err,
+            "warning: unrecognised flag --evict-polcy ignored\n"
+            "warning: unrecognised flag --sched-incremental ignored\n");
+
+  // Every flag read: nothing to report, nothing printed.
+  (void)args.get("evict-polcy", "");
+  (void)args.get_bool("sched-incremental", true);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(warn_unused(args), 0u);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(CliArgs, EmptyFlagNameIsError) {

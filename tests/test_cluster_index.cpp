@@ -162,23 +162,22 @@ TEST(ClusterIndex, AliveMaskSpansMultipleWordsAscending) {
 /// every point the scheduler can observe the cluster.
 void expect_index_consistent(const ClusterSimulator& sim,
                              const std::vector<TensorId>& tensors) {
-  const ClusterIndex* index = sim.cluster_index();
-  ASSERT_NE(index, nullptr);
+  const ClusterIndex& index = sim.cluster_index();
   for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
-    EXPECT_EQ(index->memory_used(dev), sim.memory_used(dev)) << "dev " << dev;
-    EXPECT_EQ(index->memory_capacity(dev), sim.memory_capacity(dev));
-    EXPECT_EQ(index->alive(dev), sim.device_alive(dev)) << "dev " << dev;
-    EXPECT_EQ(index->busy(dev), sim.busy_time(dev)) << "dev " << dev;
+    EXPECT_EQ(index.memory_used(dev), sim.memory_used(dev)) << "dev " << dev;
+    EXPECT_EQ(index.memory_capacity(dev), sim.memory_capacity(dev));
+    EXPECT_EQ(index.alive(dev), sim.device_alive(dev)) << "dev " << dev;
+    EXPECT_EQ(index.busy(dev), sim.busy_time(dev)) << "dev " << dev;
   }
   int alive = 0;
   for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
     if (sim.device_alive(dev)) ++alive;
   }
-  EXPECT_EQ(index->num_alive(), alive);
+  EXPECT_EQ(index.num_alive(), alive);
   for (const TensorId id : tensors) {
-    EXPECT_EQ(index->holders(id), sim.devices_holding(id)) << "tensor " << id;
+    EXPECT_EQ(index.holders(id), sim.devices_holding(id)) << "tensor " << id;
     for (DeviceId dev = 0; dev < sim.num_devices(); ++dev) {
-      EXPECT_EQ(index->holds(dev, id), sim.resident_on(dev, id))
+      EXPECT_EQ(index.holds(dev, id), sim.resident_on(dev, id))
           << "tensor " << id << " dev " << dev;
     }
   }
@@ -203,11 +202,11 @@ TEST(ClusterIndexMirror, TracksExecuteBarrierFailureAndDiscard) {
 
   sim.fail_device(1, 0.0);
   expect_index_consistent(sim, ids);
-  EXPECT_FALSE(sim.cluster_index()->alive(1));
+  EXPECT_FALSE(sim.cluster_index().alive(1));
 
   sim.discard(1);
   expect_index_consistent(sim, ids);
-  EXPECT_FALSE(sim.cluster_index()->resident_anywhere(1));
+  EXPECT_FALSE(sim.cluster_index().resident_anywhere(1));
 }
 
 TEST(ClusterIndexMirror, FailureBumpsEpochOfEveryResidentTensor) {
@@ -216,16 +215,16 @@ TEST(ClusterIndexMirror, FailureBumpsEpochOfEveryResidentTensor) {
   ClusterSimulator sim(config);
   ASSERT_TRUE(sim.execute(task(10, 11, 12), 0).ok());
 
-  const ClusterIndex* index = sim.cluster_index();
-  const std::uint64_t epoch_a = index->tensor_epoch(10);
-  const std::uint64_t epoch_out = index->tensor_epoch(12);
+  const ClusterIndex& index = sim.cluster_index();
+  const std::uint64_t epoch_a = index.tensor_epoch(10);
+  const std::uint64_t epoch_out = index.tensor_epoch(12);
   ASSERT_GT(epoch_a, 0u);
 
   sim.fail_device(0, 0.0);
   // Every tensor the dead device held changed residency: epochs must move,
   // which is what invalidates any cached classification involving them.
-  EXPECT_GT(index->tensor_epoch(10), epoch_a);
-  EXPECT_GT(index->tensor_epoch(12), epoch_out);
+  EXPECT_GT(index.tensor_epoch(10), epoch_a);
+  EXPECT_GT(index.tensor_epoch(12), epoch_out);
 }
 
 }  // namespace

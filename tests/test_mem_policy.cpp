@@ -65,8 +65,6 @@ TEST(EvictPolicyNames, RoundTripAndSpellings) {
   EXPECT_STREQ(mem::to_string(EvictPolicyKind::kLru), "lru");
   EXPECT_STREQ(mem::to_string(EvictPolicyKind::kReuseDistance),
                "reuse_distance");
-  EXPECT_STREQ(mem::to_string(EvictPolicyKind::kPinUntilLastUse),
-               "pin_until_last_use");
   for (const EvictPolicyKind kind : mem::all_evict_policies()) {
     const auto parsed = mem::parse_evict_policy(mem::to_string(kind));
     ASSERT_TRUE(parsed.has_value());
@@ -75,11 +73,9 @@ TEST(EvictPolicyNames, RoundTripAndSpellings) {
   // CLI hyphen spellings parse to the same kinds.
   EXPECT_EQ(mem::parse_evict_policy("reuse-distance"),
             EvictPolicyKind::kReuseDistance);
-  EXPECT_EQ(mem::parse_evict_policy("pin-until-last-use"),
-            EvictPolicyKind::kPinUntilLastUse);
   EXPECT_FALSE(mem::parse_evict_policy("belady").has_value());
   EXPECT_FALSE(mem::parse_evict_policy("").has_value());
-  EXPECT_EQ(mem::all_evict_policies().size(), 3u);
+  EXPECT_EQ(mem::all_evict_policies().size(), 2u);
 }
 
 TEST(EvictPolicyNames, MetricSegmentsAreDotFree) {
@@ -133,24 +129,21 @@ TEST(FutureUseTracker, RespectsNonIdentityVisitOrder) {
 // ------------------------------------------------------------ victim orders
 
 TEST(LruPolicy, MatchesEvictLruDecisions) {
+  // The victim sequence DeviceMemory's former built-in LRU eviction
+  // produced on this replay, written out: recency order after the touch,
+  // then no victim once the device is empty.
   mem::LruPolicy policy;
   DeviceMemory mem(1000);
-  DeviceMemory shadow(1000);
-  for (TensorId id = 0; id < 5; ++id) {
-    mem.allocate(id, 100, false);
-    shadow.allocate(id, 100, false);
-  }
-  mem.touch(0);
-  shadow.touch(0);
-  while (true) {
+  for (TensorId id = 0; id < 5; ++id) mem.allocate(id, 100, false);
+  mem.touch(0);  // order now: 1,2,3,4,0
+  for (const TensorId expected : {1u, 2u, 3u, 4u, 0u}) {
     const auto choice = policy.pick_victim(mem);
-    const auto legacy = shadow.evict_lru();
-    ASSERT_EQ(choice.has_value(), legacy.has_value());
-    if (!choice.has_value()) break;
-    EXPECT_EQ(choice->id, legacy->id);
+    ASSERT_TRUE(choice.has_value());
+    EXPECT_EQ(choice->id, expected);
     EXPECT_EQ(choice->reuse_distance, mem::kNoFutureUse);
-    mem.release(choice->id);
+    mem.evict(choice->id);
   }
+  EXPECT_FALSE(policy.pick_victim(mem).has_value());
 }
 
 TEST(LruPolicy, SkipsPinnedAndReportsNoVictimWhenAllPinned) {
@@ -223,12 +216,12 @@ TEST(ReuseDistancePolicy, SkipsPinnedResidents) {
   EXPECT_EQ(choice->id, 6u);
 }
 
-TEST(PinUntilLastUsePolicy, PrefersConsumerFreeVictims) {
+TEST(ReuseDistancePolicy, PrefersConsumerFreeVictims) {
   // Tensor 1 still has a pending consumer (pair 1); tensor 9 does not.
   // Even though 1 is least recently used, the policy spares it.
   VectorWorkload vec;
   vec.tasks = {make_task(1, 2, 10), make_task(1, 3, 11)};
-  mem::PinUntilLastUsePolicy policy;
+  mem::ReuseDistancePolicy policy;
   policy.begin_vector(vec, identity_order(vec));
 
   DeviceMemory mem(1000);
@@ -240,12 +233,12 @@ TEST(PinUntilLastUsePolicy, PrefersConsumerFreeVictims) {
   EXPECT_EQ(choice->reuse_distance, mem::kNoFutureUse);
 }
 
-TEST(PinUntilLastUsePolicy, HardPressureSpillsInBeladyOrder) {
-  // Every resident has a pending consumer: the pressure spill must pick
-  // the farthest next use, not refuse.
+TEST(ReuseDistancePolicy, HardPressureSpillsInBeladyOrder) {
+  // Every resident has a pending consumer: the policy must pick the
+  // farthest next use, not refuse.
   VectorWorkload vec;
   vec.tasks = {make_task(1, 2, 10), make_task(3, 4, 11), make_task(1, 3, 12)};
-  mem::PinUntilLastUsePolicy policy;
+  mem::ReuseDistancePolicy policy;
   policy.begin_vector(vec, identity_order(vec));
 
   DeviceMemory mem(1000);

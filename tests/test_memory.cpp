@@ -3,9 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+
+#include "mem/policy.hpp"
 
 namespace micco {
 namespace {
+
+/// Evicts the victim LruPolicy picks — what ClusterSimulator::make_room does
+/// per victim when no policy is attached. nullopt when nothing is evictable.
+std::optional<Eviction> evict_oldest(DeviceMemory& mem) {
+  const std::optional<mem::VictimChoice> victim =
+      mem::LruPolicy().pick_victim(mem);
+  if (!victim.has_value()) return std::nullopt;
+  return mem.evict(victim->id);
+}
 
 TEST(DeviceMemory, AllocateTracksUsage) {
   DeviceMemory mem(1000);
@@ -38,7 +50,7 @@ TEST(DeviceMemory, EvictLruPicksOldestUntouched) {
   mem.allocate(1, 100, false);
   mem.allocate(2, 100, false);
   mem.allocate(3, 100, false);
-  const auto ev = mem.evict_lru();
+  const auto ev = evict_oldest(mem);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->id, 1u);
   EXPECT_EQ(ev->bytes, 100u);
@@ -50,7 +62,7 @@ TEST(DeviceMemory, TouchPromotesToMostRecent) {
   mem.allocate(1, 100, false);
   mem.allocate(2, 100, false);
   mem.touch(1);
-  const auto ev = mem.evict_lru();
+  const auto ev = evict_oldest(mem);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->id, 2u);
 }
@@ -60,7 +72,7 @@ TEST(DeviceMemory, PinnedTensorsSurviveEviction) {
   mem.allocate(1, 100, false);
   mem.allocate(2, 100, false);
   mem.pin(1);
-  const auto ev = mem.evict_lru();
+  const auto ev = evict_oldest(mem);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->id, 2u);  // LRU but pinned tensor 1 is skipped? order: 1 older
 }
@@ -69,7 +81,7 @@ TEST(DeviceMemory, AllPinnedMeansNoVictim) {
   DeviceMemory mem(1000);
   mem.allocate(1, 100, false);
   mem.pin(1);
-  EXPECT_FALSE(mem.evict_lru().has_value());
+  EXPECT_FALSE(evict_oldest(mem).has_value());
 }
 
 TEST(DeviceMemory, UnpinRestoresEvictability) {
@@ -77,13 +89,13 @@ TEST(DeviceMemory, UnpinRestoresEvictability) {
   mem.allocate(1, 100, false);
   mem.pin(1);
   mem.unpin(1);
-  EXPECT_TRUE(mem.evict_lru().has_value());
+  EXPECT_TRUE(evict_oldest(mem).has_value());
 }
 
 TEST(DeviceMemory, DirtyFlagTravelsWithEviction) {
   DeviceMemory mem(1000);
   mem.allocate(1, 100, true);
-  const auto ev = mem.evict_lru();
+  const auto ev = evict_oldest(mem);
   ASSERT_TRUE(ev.has_value());
   EXPECT_TRUE(ev->dirty);
 }
@@ -163,7 +175,7 @@ TEST(DeviceMemory, GrowAfterShrinkWithLiveResidents) {
   mem.allocate(3, 1400, false);
   EXPECT_EQ(mem.used(), 2000u);
   // LRU order survived the resize cycle untouched.
-  const auto ev = mem.evict_lru();
+  const auto ev = evict_oldest(mem);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->id, 1u);
 }
@@ -173,7 +185,7 @@ TEST(DeviceMemory, EvictionSequenceFollowsLruOrder) {
   for (TensorId id = 0; id < 5; ++id) mem.allocate(id, 100, false);
   mem.touch(0);  // order now: 1,2,3,4,0
   for (const TensorId expected : {1u, 2u, 3u, 4u, 0u}) {
-    const auto ev = mem.evict_lru();
+    const auto ev = evict_oldest(mem);
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(ev->id, expected);
   }

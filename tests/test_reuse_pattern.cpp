@@ -22,7 +22,8 @@ ClusterConfig two_devices() {
   return c;
 }
 
-// Fig. 4's four tensor-pair classes, reconstructed on a live simulator.
+// Fig. 4's four tensor-pair classes, reconstructed on a live simulator and
+// classified against the residency index it maintains.
 class ReusePatternTest : public ::testing::Test {
  protected:
   ReusePatternTest() : sim_(two_devices()) {
@@ -33,28 +34,29 @@ class ReusePatternTest : public ::testing::Test {
     sim_.execute(make_task(/*B1=*/2, /*C1=*/4, 101), 0);
     sim_.execute(make_task(/*B2=*/3, /*E=*/5, 102), 1);
   }
+  const ClusterIndex& index() const { return sim_.cluster_index(); }
   ClusterSimulator sim_;
 };
 
 TEST_F(ReusePatternTest, TwoRepeatedSame) {
-  EXPECT_EQ(classify_pair(make_task(0, 1, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(0, 1, 200), index()),
             LocalReusePattern::kTwoRepeatedSame);
 }
 
 TEST_F(ReusePatternTest, TwoRepeatedDiff) {
-  EXPECT_EQ(classify_pair(make_task(2, 3, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(2, 3, 200), index()),
             LocalReusePattern::kTwoRepeatedDiff);
 }
 
 TEST_F(ReusePatternTest, OneRepeated) {
-  EXPECT_EQ(classify_pair(make_task(4, /*new=*/77, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(4, /*new=*/77, 200), index()),
             LocalReusePattern::kOneRepeated);
-  EXPECT_EQ(classify_pair(make_task(/*new=*/77, 4, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(/*new=*/77, 4, 200), index()),
             LocalReusePattern::kOneRepeated);
 }
 
 TEST_F(ReusePatternTest, TwoNew) {
-  EXPECT_EQ(classify_pair(make_task(77, 78, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(77, 78, 200), index()),
             LocalReusePattern::kTwoNew);
 }
 
@@ -62,21 +64,21 @@ TEST_F(ReusePatternTest, ReplicatedTensorStillSame) {
   // Replicate tensor 0 onto device 1; the pair (0, 1) still has a common
   // holder (device 0), so it stays TwoRepeatedSame.
   sim_.execute(make_task(0, 99, 103), 1);
-  EXPECT_EQ(classify_pair(make_task(0, 1, 200), sim_),
+  EXPECT_EQ(classify_pair(make_task(0, 1, 200), index()),
             LocalReusePattern::kTwoRepeatedSame);
 }
 
 TEST_F(ReusePatternTest, MappingClassesPerDevice) {
   // Pair (A1, A2): device 0 reuses both (mapping 1); device 1 none (4-7).
-  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 0, sim_),
+  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 0, index()),
             MappingClass::kBothReused);
-  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 1, sim_),
+  EXPECT_EQ(classify_mapping(make_task(0, 1, 200), 1, index()),
             MappingClass::kNoneReused);
   // Pair (B1, B2) on device 0: only operand A reused (mapping 2).
-  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 0, sim_),
+  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 0, index()),
             MappingClass::kFirstReused);
   // ... and on device 1: only operand B reused (mapping 3).
-  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 1, sim_),
+  EXPECT_EQ(classify_mapping(make_task(2, 3, 200), 1, index()),
             MappingClass::kSecondReused);
 }
 
@@ -90,16 +92,19 @@ TEST_F(ReusePatternTest, FetchCountsMatchFigureCosts) {
 TEST_F(ReusePatternTest, BytesNeededSkipsResidentOperands) {
   const std::uint64_t tensor_bytes = make_desc(0).bytes();
   // (A1, A2) on device 0: only the output must be allocated.
-  EXPECT_EQ(bytes_needed_on(make_task(0, 1, 200), 0, sim_), tensor_bytes);
+  EXPECT_EQ(bytes_needed_on(make_task(0, 1, 200), 0, index()),
+            tensor_bytes);
   // (A1, A2) on device 1: both operands plus output.
-  EXPECT_EQ(bytes_needed_on(make_task(0, 1, 200), 1, sim_), 3 * tensor_bytes);
+  EXPECT_EQ(bytes_needed_on(make_task(0, 1, 200), 1, index()),
+            3 * tensor_bytes);
   // (B1, B2) on device 0: operand B plus output.
-  EXPECT_EQ(bytes_needed_on(make_task(2, 3, 200), 0, sim_), 2 * tensor_bytes);
+  EXPECT_EQ(bytes_needed_on(make_task(2, 3, 200), 0, index()),
+            2 * tensor_bytes);
 }
 
 TEST_F(ReusePatternTest, BytesNeededCountsSelfPairOnce) {
   const std::uint64_t tensor_bytes = make_desc(0).bytes();
-  EXPECT_EQ(bytes_needed_on(make_task(77, 77, 200), 0, sim_),
+  EXPECT_EQ(bytes_needed_on(make_task(77, 77, 200), 0, index()),
             2 * tensor_bytes);  // one operand + output
 }
 

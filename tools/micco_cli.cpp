@@ -85,8 +85,8 @@ int usage() {
                "  run FILE [--scheduler=groute|dmda|micco|roundrobin] "
                "[--model=FILE] [--gpus=8] [--oversub=R] [--trace=FILE]\n"
                "      [--fault-plan=FILE --retry-max=N --retry-backoff=S]\n"
-               "      [--evict-policy=lru|reuse-distance|pin-until-last-use]"
-               "   (unset: the byte-identical legacy LRU path)\n"
+               "      [--evict-policy=lru|reuse-distance]"
+               "   (unset: LRU victims, no policy accounting)\n"
                "  train --out=FILE [--samples=120 --gpus=8 --seed=N --threads=N]\n"
                "  inspect FILE\n"
                "  report [FILE] [--scheduler=NAME] [--gpus=8] [--oversub=R] "
@@ -125,9 +125,7 @@ int usage() {
                "--once]   (live telemetry dashboard)\n"
                "  drain --socket=PATH [--shutdown]   (--shutdown cancels "
                "queued jobs)\n"
-               "  global: --sched-incremental=on|off   (off: recompute-from-"
-               "view scheduler hot path, escape hatch for one release; "
-               "decisions are byte-identical either way)\n");
+               "  flags a command does not read are reported on stderr\n");
   return 2;
 }
 
@@ -162,8 +160,8 @@ bool load_fault_flags(const CliArgs& args, const char* cmd, int num_devices,
 }
 
 /// Parses the optional --evict-policy flag shared by `run`, `report` and
-/// `serve`. A missing flag leaves `kind` unset — the legacy LRU path, whose
-/// logs and reports stay byte-identical to pre-policy builds.
+/// `serve`. A missing flag leaves `kind` unset: LRU victims with no policy
+/// accounting, so logs and reports carry no policy fields.
 bool load_evict_policy_flag(const CliArgs& args, const char* cmd,
                             std::optional<mem::EvictPolicyKind>* kind) {
   const std::string name = args.get("evict-policy", "");
@@ -171,21 +169,40 @@ bool load_evict_policy_flag(const CliArgs& args, const char* cmd,
   *kind = mem::parse_evict_policy(name);
   if (!kind->has_value()) {
     std::fprintf(stderr,
-                 "%s: unknown eviction policy '%s' (want lru, "
-                 "reuse-distance or pin-until-last-use)\n",
+                 "%s: unknown eviction policy '%s' (want lru or "
+                 "reuse-distance)\n",
                  cmd, name.c_str());
     return false;
   }
   return true;
 }
 
-/// Conservative per-task capacity floor for --oversub; zero for a workload
-/// with no tasks (where oversubscription is meaningless).
-std::uint64_t first_task_bytes(const WorkloadStream& stream) {
+/// Reads --gpus and the optional --oversub=R shared by `run` and `report`:
+/// R sizes device capacity so each device holds 1/R of its share of the
+/// stream's distinct footprint, floored at eight operands of the first task
+/// so one task always fits. Returns false (after printing a diagnostic) for
+/// --oversub on a workload with no task, where it is meaningless.
+bool load_cluster_flags(const CliArgs& args, const char* cmd,
+                        const WorkloadStream& stream, ClusterConfig* cluster) {
+  cluster->num_devices = static_cast<int>(args.get_int("gpus", 8));
+  const double oversub = args.get_double("oversub", 0.0);
+  if (oversub <= 0.0) return true;
+  std::uint64_t task_bytes = 0;
   for (const VectorWorkload& vec : stream.vectors) {
-    if (!vec.tasks.empty()) return vec.tasks.front().a.bytes();
+    if (!vec.tasks.empty()) {
+      task_bytes = vec.tasks.front().a.bytes();
+      break;
+    }
   }
-  return 0;
+  if (task_bytes == 0) {
+    std::fprintf(stderr,
+                 "%s: --oversub needs a workload with at least one task\n",
+                 cmd);
+    return false;
+  }
+  cluster->device_capacity_bytes = capacity_for_oversubscription(
+      stream, cluster->num_devices, oversub, 8 * task_bytes);
+  return true;
 }
 
 /// One-line fault/recovery summary after a faulted run.
@@ -261,22 +278,11 @@ int cmd_run(const CliArgs& args) {
   }
 
   ClusterConfig cluster;
-  cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
+  if (!load_cluster_flags(args, "run", *stream, &cluster)) return 1;
   cluster.p2p_enabled = args.get_bool("p2p", false);
   cluster.overlap_transfers = args.get_bool("async-copy", false);
   cluster.devices_per_node =
       static_cast<int>(args.get_int("devices-per-node", 0));
-  const double oversub = args.get_double("oversub", 0.0);
-  if (oversub > 0.0) {
-    const std::uint64_t task_bytes = first_task_bytes(*stream);
-    if (task_bytes == 0) {
-      std::fprintf(stderr,
-                   "run: --oversub needs a workload with at least one task\n");
-      return 1;
-    }
-    cluster.device_capacity_bytes = capacity_for_oversubscription(
-        *stream, cluster.num_devices, oversub, 8 * task_bytes);
-  }
 
   std::optional<FaultPlan> plan;
   RetryPolicy retry;
@@ -635,19 +641,7 @@ int cmd_report(const CliArgs& args) {
   }
 
   ClusterConfig cluster;
-  cluster.num_devices = static_cast<int>(args.get_int("gpus", 8));
-  const double oversub = args.get_double("oversub", 0.0);
-  if (oversub > 0.0) {
-    const std::uint64_t task_bytes = first_task_bytes(*stream);
-    if (task_bytes == 0) {
-      std::fprintf(
-          stderr,
-          "report: --oversub needs a workload with at least one task\n");
-      return 1;
-    }
-    cluster.device_capacity_bytes = capacity_for_oversubscription(
-        *stream, cluster.num_devices, oversub, 8 * task_bytes);
-  }
+  if (!load_cluster_flags(args, "report", *stream, &cluster)) return 1;
 
   std::optional<FaultPlan> plan;
   RetryPolicy retry;
@@ -1041,9 +1035,8 @@ void render_top(const obs::JsonValue& reply) {
     }
   }
 
-  // Scheduler hot-path counters (PR: incremental scheduler core). The cache
-  // pair is registered only on the incremental path, so the line doubles as
-  // a visual check of which mode the daemon runs in.
+  // Scheduler hot-path counters: pattern-cache hits/misses and the residency
+  // epoch bumps that invalidate them.
   if (const obs::JsonValue* counters = reply.at("metrics").find("counters")) {
     const auto counter = [counters](const char* key) -> long long {
       const obs::JsonValue* v = counters->find(key);
@@ -1152,27 +1145,37 @@ int cmd_drain(const CliArgs& args) {
   return reply->at("ok").as_bool() ? 0 : 1;
 }
 
+using Command = int (*)(const CliArgs&);
+
+Command command_by_name(const std::string& command) {
+  if (command == "generate") return cmd_generate;
+  if (command == "run") return cmd_run;
+  if (command == "train") return cmd_train;
+  if (command == "inspect") return cmd_inspect;
+  if (command == "report") return cmd_report;
+  if (command == "faults") return cmd_faults;
+  if (command == "serve") return cmd_serve;
+  if (command == "submit") return cmd_submit;
+  if (command == "status") return cmd_status;
+  if (command == "top") return cmd_top;
+  if (command == "drain") return cmd_drain;
+  return nullptr;
+}
+
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
   const CliArgs args(argc, argv);
-  const std::string command = argv[1];
-  // Global escape hatch, kept for one release (DESIGN.md §9): off reverts
-  // every scheduler to the recompute-from-view hot path. Decision logs are
-  // byte-identical either way; only the pattern-cache counters disappear
-  // from reports. Set here, before any scheduler exists — never mid-run.
-  set_sched_incremental(args.get_bool("sched-incremental", true));
-  if (command == "generate") return cmd_generate(args);
-  if (command == "run") return cmd_run(args);
-  if (command == "train") return cmd_train(args);
-  if (command == "inspect") return cmd_inspect(args);
-  if (command == "report") return cmd_report(args);
-  if (command == "faults") return cmd_faults(args);
-  if (command == "serve") return cmd_serve(args);
-  if (command == "submit") return cmd_submit(args);
-  if (command == "status") return cmd_status(args);
-  if (command == "top") return cmd_top(args);
-  if (command == "drain") return cmd_drain(args);
-  return usage();
+  if (args.error().has_value()) {
+    std::fprintf(stderr, "micco: %s\n", args.error()->c_str());
+    return 2;
+  }
+  const Command command = command_by_name(argv[1]);
+  if (command == nullptr) return usage();
+  const int status = command(args);
+  // A misspelt flag never reaches the command; say so instead of letting
+  // the run pass for one that honoured it.
+  warn_unused(args);
+  return status;
 }
 
 }  // namespace
