@@ -4,7 +4,7 @@
 // latencies: pair classification, a full MiccoScheduler::assign (including
 // maps and candidate selection), the Groute baseline's assignment, online
 // characteristics extraction, Random-Forest bound inference, and the
-// simulator's own per-task bookkeeping.
+// simulator's own per-task bookkeeping, with and without eviction pressure.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -12,6 +12,7 @@
 
 #include "core/bounds_model.hpp"
 #include "core/experiment.hpp"
+#include "core/pipeline.hpp"
 #include "obs/events.hpp"
 #include "obs/telemetry.hpp"
 #include "sched/reuse_pattern.hpp"
@@ -144,27 +145,57 @@ void BM_BoundInference(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundInference);
 
-void BM_SimulatorExecute(benchmark::State& state) {
+/// Executes one vector per iteration on a fresh 8-GPU simulator. With
+/// `oversub` > 0 each vector runs on devices sized to that memory
+/// oversubscription of its own footprint (floored, like `micco run
+/// --oversub`, at eight operands), so make_room -> pick_victim -> evict
+/// runs on most fetches.
+void simulator_execute(benchmark::State& state, double oversub) {
   const WorkloadStream stream = micro_stream();
+  std::vector<ClusterConfig> configs;
+  for (const VectorWorkload& vec : stream.vectors) {
+    ClusterConfig config = micro_cluster(8);
+    if (oversub > 0.0) {
+      WorkloadStream one;
+      one.vectors.push_back(vec);
+      config.device_capacity_bytes = capacity_for_oversubscription(
+          one, config.num_devices, oversub, 8 * vec.tasks.front().a.bytes());
+    }
+    configs.push_back(config);
+  }
   std::size_t v = 0;
+  std::uint64_t evictions = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    ClusterSimulator sim(micro_cluster(8));
+    const std::size_t which = v % stream.vectors.size();
+    ClusterSimulator sim(configs[which]);
     MiccoScheduler sched;
-    const VectorWorkload& vec = stream.vectors[v % stream.vectors.size()];
+    const VectorWorkload& vec = stream.vectors[which];
     sched.begin_vector(vec, sim);
     state.ResumeTiming();
     for (const ContractionTask& task : vec.tasks) {
       sim.execute(task, sched.assign(task, sim));
     }
     sim.barrier();
+    evictions += sim.metrics().evictions;
     ++v;
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(
                               stream.vectors[0].tasks.size()));
+  state.counters["evictions_per_vector"] =
+      static_cast<double>(evictions) / static_cast<double>(state.iterations());
+}
+
+void BM_SimulatorExecute(benchmark::State& state) {
+  simulator_execute(state, 0.0);
 }
 BENCHMARK(BM_SimulatorExecute);
+
+void BM_SimulatorExecuteOversubscribed(benchmark::State& state) {
+  simulator_execute(state, 2.0);
+}
+BENCHMARK(BM_SimulatorExecuteOversubscribed);
 
 void BM_FullPipelineTenVectors(benchmark::State& state) {
   const WorkloadStream stream = micro_stream();

@@ -90,6 +90,26 @@ cmp "${SMOKE_DIR}/d1.jsonl" "${SMOKE_DIR}/d2.jsonl"
 grep -q 'unrecognised flag --sched-incremental ignored' \
   "${SMOKE_DIR}/unused_flag.txt"
 
+# A malformed numeric flag is a usage error: exit 2 naming the flag before
+# any work runs, never an abort (134) or a run on a misread value.
+"${BUILD_DIR}/tools/micco" generate --out="${SMOKE_DIR}/flags.mw" \
+  --vectors=3 --vector-size=16 --seed=5 > /dev/null
+status=0
+"${BUILD_DIR}/tools/micco" run "${SMOKE_DIR}/flags.mw" --gpus=abc \
+  > /dev/null 2> "${SMOKE_DIR}/bad_flag.txt" || status=$?
+if [ "${status}" != 2 ] ||
+    ! grep -q -- '--gpus' "${SMOKE_DIR}/bad_flag.txt"; then
+  echo "report smoke test FAILED: --gpus=abc exited ${status}" >&2
+  exit 1
+fi
+
+# A boolean switch never swallows the token after it: `--pretty FILE`
+# reports on FILE (3 vectors), not on the built-in 4-vector stream.
+"${BUILD_DIR}/tools/micco" report --pretty "${SMOKE_DIR}/flags.mw" \
+  > "${SMOKE_DIR}/r_pretty.json"
+# One "distribution_bias" line per vector of the pretty-printed report.
+test "$(grep -c '"distribution_bias"' "${SMOKE_DIR}/r_pretty.json")" = 3
+
 # The report must be JSON a stock parser accepts, with the headline fields.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "${SMOKE_DIR}/r1.json" <<'EOF'

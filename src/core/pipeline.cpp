@@ -108,7 +108,9 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
   };
   // Lineage map: the task that produced each intermediate, so tensors lost
   // with a device can be recomputed from surviving inputs (their operands
-  // are either host-staged originals or themselves recoverable).
+  // are either host-staged originals or themselves recoverable). Filled only
+  // when a fault injector is attached: without one no device is ever lost
+  // and nothing reads it.
   std::unordered_map<TensorId, ContractionTask> producers;
   std::int64_t vector_index = -1;
 
@@ -206,7 +208,7 @@ RunResult run_stream(const WorkloadStream& stream, Scheduler& scheduler,
       const ExecuteResult exec = sim.execute(item.task, dev);
       switch (exec.outcome) {
         case TaskOutcome::kCompleted:
-          producers[item.task.out.id] = item.task;
+          if (injector.has_value()) producers[item.task.out.id] = item.task;
           break;
         case TaskOutcome::kDeviceFailed: {
           scheduler.on_device_failure(dev, sim);

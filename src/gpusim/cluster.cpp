@@ -103,8 +103,8 @@ bool ClusterSimulator::resident_anywhere(TensorId id) const {
 bool ClusterSimulator::host_resident(TensorId id) const {
   // Originals are staged in host memory by the frontend; intermediates
   // gain a host copy only via eviction write-back.
-  if (!produced_.contains(id)) return true;
-  return host_copies_.contains(id);
+  const TensorFlags flags = tensor_flags_.get(id);
+  return !flags.produced || flags.host_copy;
 }
 
 void ClusterSimulator::index_add(TensorId id, DeviceId dev) {
@@ -199,7 +199,7 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
     index_remove(ev.id, dev);
     ++metrics_.evictions;
     if (evict_policy_ != nullptr) {
-      d.evicted_ever.insert(ev.id);
+      d.evicted_ever[ev.id] = 1;
       if (mem_evictions_counter_ != nullptr) mem_evictions_counter_->add();
       if (mem_evicted_bytes_counter_ != nullptr) {
         mem_evicted_bytes_counter_->add(ev.bytes);
@@ -219,15 +219,13 @@ std::optional<double> ClusterSimulator::make_room(DeviceId dev,
     metrics_.writeback_bytes += ev.bytes;
     cost += cost_model_.d2h_time(ev.bytes);
     if (ev.dirty) ++metrics_.dirty_evictions;
-    if (produced_.contains(ev.id)) host_copies_.insert(ev.id);
+    if (tensor_flags_.get(ev.id).produced) {
+      tensor_flags_[ev.id].host_copy = true;
+    }
     if (observing()) {
       double age = 0.0;
-      if (telemetry_ != nullptr) {
-        const auto it = d.alloc_time.find(ev.id);
-        if (it != d.alloc_time.end()) {
-          age = std::max(0.0, busy_time(dev) - it->second);
-          d.alloc_time.erase(it);
-        }
+      if (telemetry_ != nullptr && ev.alloc_time_s.has_value()) {
+        age = std::max(0.0, busy_time(dev) - *ev.alloc_time_s);
       }
       pending_ops_.push_back(PendingOp{TraceEventKind::kEviction, ev.id,
                                        eviction_cost, ev.bytes, cause, age});
@@ -325,14 +323,13 @@ ClusterSimulator::FetchResult ClusterSimulator::fetch_operand(
         fetch_kind, desc.id, cost_model_.alloc_time() + transfer_cost, bytes});
   }
 
-  d.memory.allocate(desc.id, bytes, /*dirty=*/false);
+  d.memory.allocate(desc.id, bytes, /*dirty=*/false, alloc_stamp(dev));
   d.memory.pin(desc.id);
   index_add(desc.id, dev);
-  if (telemetry_ != nullptr) d.alloc_time[desc.id] = busy_time(dev);
   // Re-fetch of a tensor this run already evicted from this device: the
   // avoidable half of the eviction-caused transfer bill (explicit-policy
   // runs only; evicted_ever is not maintained otherwise).
-  if (evict_policy_ != nullptr && d.evicted_ever.contains(desc.id)) {
+  if (evict_policy_ != nullptr && d.evicted_ever.get(desc.id) != 0) {
     metrics_.eviction_refetch_bytes += bytes;
   }
   ++metrics_.fetched_operands;
@@ -475,9 +472,9 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
                                      task.out.id, cost_model_.alloc_time(),
                                      out_bytes});
   }
-  d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true);
+  d.memory.allocate(task.out.id, out_bytes, /*dirty=*/true,
+                    alloc_stamp(dev));
   index_add(task.out.id, dev);
-  if (telemetry_ != nullptr) d.alloc_time[task.out.id] = busy_time(dev);
   ++metrics_.allocations;
 
   double kernel_cost = cost_model_.kernel_time(task);
@@ -535,7 +532,7 @@ ExecuteResult ClusterSimulator::execute_impl(const ContractionTask& task,
   }
 
   unpin_held();
-  produced_.insert(task.out.id);
+  tensor_flags_[task.out.id].produced = true;
 
   d.work_s += copy_cost + kernel_cost;
   metrics_.total_flops += task.flops();
@@ -560,7 +557,6 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
     d.memory.release(id);
     index_remove(id, dev);
   }
-  d.alloc_time.clear();
 
   // A produced tensor with no host copy and no surviving replica died with
   // the device; its producer must be re-executed (lineage recovery).
@@ -569,8 +565,7 @@ std::vector<TensorId> ClusterSimulator::fail_device(DeviceId dev,
   // for the recovery path's determinism contract.
   std::vector<TensorId> lost;
   for (const TensorId id : resident) {
-    if (produced_.contains(id) && !host_copies_.contains(id) &&
-        !resident_anywhere(id)) {
+    if (!host_resident(id) && !resident_anywhere(id)) {
       lost.push_back(id);
     }
   }
@@ -713,7 +708,6 @@ void ClusterSimulator::discard(TensorId id) {
   for (const DeviceId dev : holders) {
     DeviceState& d = device(dev);
     d.memory.release(id);
-    d.alloc_time.erase(id);
     index_remove(id, dev);
     const double start = std::max(d.compute_free_s, d.copy_free_s);
     d.compute_free_s = start + cost_model_.free_time();

@@ -11,13 +11,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "faults/injector.hpp"
 #include "gpusim/cluster_index.hpp"
 #include "gpusim/cost_model.hpp"
+#include "gpusim/dense_id_map.hpp"
 #include "gpusim/memory.hpp"
 #include "gpusim/trace.hpp"
 #include "obs/telemetry.hpp"
@@ -312,12 +311,16 @@ class ClusterSimulator final : public ClusterView {
     /// exhaustion afterwards escalates to a device failure instead of a
     /// capacity error (the hardware is suspect).
     bool capacity_faulted = false;
-    /// Allocation timestamp per resident tensor; maintained only while
-    /// telemetry is attached (feeds the eviction-victim-age histogram).
-    std::unordered_map<TensorId, double> alloc_time;
-    /// Tensors ever evicted from this device; maintained only while an
-    /// eviction policy is attached (feeds the eviction-refetch accounting).
-    std::unordered_set<TensorId> evicted_ever;
+    /// Nonzero for tensors ever evicted from this device; maintained only
+    /// while an eviction policy is attached (feeds the eviction-refetch
+    /// accounting).
+    DenseIdMap<std::uint8_t> evicted_ever;
+  };
+
+  /// Per-tensor lineage flags, one entry per id.
+  struct TensorFlags {
+    bool produced = false;   ///< written by a kernel (else an original)
+    bool host_copy = false;  ///< produced, then written back by an eviction
   };
 
   /// How one operand fetch ended (only kOk commits residency).
@@ -380,6 +383,14 @@ class ClusterSimulator final : public ClusterView {
     double victim_age_s = 0.0;  ///< evictions only
   };
 
+  /// Allocation stamp for the eviction-victim-age histogram: the device's
+  /// busy time while telemetry is attached, unstamped otherwise (such a
+  /// tensor reports victim age 0).
+  std::optional<double> alloc_stamp(DeviceId dev) const {
+    if (telemetry_ == nullptr) return std::nullopt;
+    return busy_time(dev);
+  }
+
   /// True when any observer needs per-operation records buffered.
   bool observing() const {
     return trace_ != nullptr || telemetry_ != nullptr;
@@ -398,10 +409,7 @@ class ClusterSimulator final : public ClusterView {
   /// index_add/index_remove and sync_device_mirror (replaces the old
   /// residency hash map; holders keep the same insertion order).
   ClusterIndex index_;
-  /// Tensors ever produced by a kernel (everything else is an original).
-  std::unordered_set<TensorId> produced_;
-  /// Produced tensors with a live host copy (eviction write-backs).
-  std::unordered_set<TensorId> host_copies_;
+  DenseIdMap<TensorFlags> tensor_flags_;
   ExecutionMetrics metrics_;
   TraceRecorder* trace_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;

@@ -17,23 +17,6 @@ ClusterIndex::ClusterIndex(int num_devices) : num_devices_(num_devices) {
   num_alive_ = num_devices;
 }
 
-ClusterIndex::Residency& ClusterIndex::entry(TensorId id) {
-  if (id < kDenseLimit) {
-    if (id >= dense_.size()) dense_.resize(static_cast<std::size_t>(id) + 1);
-    return dense_[static_cast<std::size_t>(id)];
-  }
-  return sparse_[id];
-}
-
-const ClusterIndex::Residency* ClusterIndex::find(TensorId id) const {
-  if (id < kDenseLimit) {
-    return id < dense_.size() ? &dense_[static_cast<std::size_t>(id)]
-                              : nullptr;
-  }
-  const auto it = sparse_.find(id);
-  return it == sparse_.end() ? nullptr : &it->second;
-}
-
 const std::vector<DeviceId>& ClusterIndex::holders(TensorId id) const {
   // Shared empty result for misses: the common empty-miss case (fresh
   // tensors) must not allocate — this sits on every scheduler's per-decision
@@ -45,7 +28,7 @@ const std::vector<DeviceId>& ClusterIndex::holders(TensorId id) const {
 
 void ClusterIndex::place(TensorId id, DeviceId dev) {
   const auto bit = static_cast<std::size_t>(checked(dev));
-  Residency& res = entry(id);
+  Residency& res = residency_[id];
   MICCO_ASSERT(!res.holds(dev));
   res.holders.push_back(dev);
   if (bit < 64) {
@@ -60,7 +43,7 @@ void ClusterIndex::place(TensorId id, DeviceId dev) {
 
 void ClusterIndex::remove(TensorId id, DeviceId dev) {
   const auto bit = static_cast<std::size_t>(checked(dev));
-  Residency& res = entry(id);
+  Residency& res = residency_[id];
   MICCO_ASSERT(res.holds(dev));
   const auto pos = std::find(res.holders.begin(), res.holders.end(), dev);
   MICCO_ASSERT(pos != res.holders.end());

@@ -19,16 +19,16 @@
 //     bitmask in parallel flat arrays, so candidate selection runs
 //     branch-light over contiguous doubles instead of virtual calls.
 //
-// The index stores ids densely (TensorIds are assigned sequentially from 0
-// by every generator) with a hash-map spill for pathological ids, and is
-// plain-copyable: the oracle clones whole simulators per candidate.
+// Residency records live in a DenseIdMap (dense by id, hash spill for
+// pathological ids), so the index is plain-copyable: the oracle clones
+// whole simulators per candidate.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "gpusim/dense_id_map.hpp"
 #include "workload/task.hpp"
 
 namespace micco {
@@ -77,7 +77,7 @@ class ClusterIndex {
   void remove(TensorId id, DeviceId dev);
 
   /// The tensor's residency record, or nullptr when it was never placed.
-  const Residency* find(TensorId id) const;
+  const Residency* find(TensorId id) const { return residency_.find(id); }
 
   /// Holder list (empty static vector when never placed / not resident).
   const std::vector<DeviceId>& holders(TensorId id) const;
@@ -139,21 +139,14 @@ class ClusterIndex {
   const std::vector<std::uint64_t>& alive_mask() const { return alive_mask_; }
 
  private:
-  /// Ids below this are stored in the dense table (generators assign ids
-  /// sequentially from 0, so in practice everything lands here).
-  static constexpr std::uint64_t kDenseLimit = 1ULL << 20;
-
   std::size_t checked(DeviceId dev) const {
     MICCO_EXPECTS(dev >= 0 && dev < num_devices_);
     return static_cast<std::size_t>(dev);
   }
 
-  Residency& entry(TensorId id);
-
   int num_devices_ = 0;
   std::uint64_t global_epoch_ = 0;
-  std::vector<Residency> dense_;                    ///< ids < kDenseLimit
-  std::unordered_map<TensorId, Residency> sparse_;  ///< spill for huge ids
+  DenseIdMap<Residency> residency_;
   std::vector<double> busy_;
   std::vector<std::uint64_t> mem_used_;
   std::vector<std::uint64_t> mem_capacity_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-
 namespace micco {
 
 DeviceMemory::DeviceMemory(std::uint64_t capacity_bytes)
@@ -11,99 +9,101 @@ DeviceMemory::DeviceMemory(std::uint64_t capacity_bytes)
   MICCO_EXPECTS(capacity_bytes > 0);
 }
 
-DeviceMemory::DeviceMemory(const DeviceMemory& other)
-    : capacity_(other.capacity_), used_(other.used_), lru_(other.lru_) {
-  // Entries must point into OUR list, not the source's.
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    Entry entry = other.entries_.at(*it);
-    entry.lru_pos = it;
-    entries_.emplace(*it, entry);
+const DeviceMemory::Entry& DeviceMemory::entry(TensorId id) const {
+  const std::uint32_t slot = slot_of(id);
+  MICCO_EXPECTS_MSG(slot != kNil, "access to a non-resident tensor");
+  return entries_[slot];
+}
+
+DeviceMemory::Entry& DeviceMemory::entry(TensorId id) {
+  const std::uint32_t slot = slot_of(id);
+  MICCO_EXPECTS_MSG(slot != kNil, "access to a non-resident tensor");
+  return entries_[slot];
+}
+
+void DeviceMemory::link_back(std::uint32_t slot) {
+  Entry& e = entries_[slot];
+  e.prev = lru_tail_;
+  e.next = kNil;
+  if (lru_tail_ == kNil) {
+    lru_head_ = slot;
+  } else {
+    entries_[lru_tail_].next = slot;
+  }
+  lru_tail_ = slot;
+}
+
+void DeviceMemory::unlink(std::uint32_t slot) {
+  const Entry& e = entries_[slot];
+  if (e.prev == kNil) {
+    lru_head_ = e.next;
+  } else {
+    entries_[e.prev].next = e.next;
+  }
+  if (e.next == kNil) {
+    lru_tail_ = e.prev;
+  } else {
+    entries_[e.next].prev = e.prev;
   }
 }
 
-DeviceMemory& DeviceMemory::operator=(const DeviceMemory& other) {
-  if (this == &other) return *this;
-  DeviceMemory copy(other);
-  capacity_ = copy.capacity_;
-  used_ = copy.used_;
-  lru_ = std::move(copy.lru_);
-  entries_ = std::move(copy.entries_);
-  return *this;
-}
-
-void DeviceMemory::allocate(TensorId id, std::uint64_t bytes, bool dirty) {
+void DeviceMemory::allocate(TensorId id, std::uint64_t bytes, bool dirty,
+                            std::optional<double> alloc_time_s) {
   MICCO_EXPECTS_MSG(!resident(id), "double allocation of a tensor");
   MICCO_EXPECTS_MSG(fits(bytes), "allocate() requires prior eviction");
-  lru_.push_back(id);
-  Entry entry;
-  entry.bytes = bytes;
-  entry.dirty = dirty;
-  entry.pinned = false;
-  entry.lru_pos = std::prev(lru_.end());
-  entries_.emplace(id, entry);
+  std::uint32_t slot = free_head_;
+  if (slot == kNil) {
+    MICCO_EXPECTS(entries_.size() < kNil);
+    slot = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    free_head_ = entries_[slot].next;
+  }
+  Entry& e = entries_[slot];
+  e.id = id;
+  e.bytes = bytes;
+  e.alloc_time_s = alloc_time_s;
+  e.dirty = dirty;
+  e.pinned = false;
+  link_back(slot);
+  slots_[id].slot = slot;
   used_ += bytes;
+  ++resident_count_;
 }
 
 void DeviceMemory::release(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS_MSG(it != entries_.end(), "release of a non-resident tensor");
-  used_ -= it->second.bytes;
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
+  const std::uint32_t slot = slot_of(id);
+  MICCO_EXPECTS_MSG(slot != kNil, "release of a non-resident tensor");
+  used_ -= entries_[slot].bytes;
+  unlink(slot);
+  entries_[slot].next = free_head_;
+  free_head_ = slot;
+  slots_[id].slot = kNil;
+  --resident_count_;
 }
 
 void DeviceMemory::touch(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS_MSG(it != entries_.end(), "touch of a non-resident tensor");
-  lru_.erase(it->second.lru_pos);
-  lru_.push_back(id);
-  it->second.lru_pos = std::prev(lru_.end());
-}
-
-void DeviceMemory::set_dirty(TensorId id, bool dirty) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  it->second.dirty = dirty;
-}
-
-bool DeviceMemory::is_dirty(TensorId id) const {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  return it->second.dirty;
-}
-
-void DeviceMemory::pin(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  it->second.pinned = true;
-}
-
-void DeviceMemory::unpin(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS(it != entries_.end());
-  it->second.pinned = false;
+  const std::uint32_t slot = slot_of(id);
+  MICCO_EXPECTS_MSG(slot != kNil, "touch of a non-resident tensor");
+  if (slot == lru_tail_) return;
+  unlink(slot);
+  link_back(slot);
 }
 
 Eviction DeviceMemory::evict(TensorId id) {
-  const auto it = entries_.find(id);
-  MICCO_EXPECTS_MSG(it != entries_.end(), "eviction of a non-resident tensor");
-  MICCO_EXPECTS_MSG(!it->second.pinned, "eviction of a pinned tensor");
-  Eviction ev{id, it->second.bytes, it->second.dirty};
+  const std::uint32_t slot = slot_of(id);
+  MICCO_EXPECTS_MSG(slot != kNil, "eviction of a non-resident tensor");
+  const Entry& e = entries_[slot];
+  MICCO_EXPECTS_MSG(!e.pinned, "eviction of a pinned tensor");
+  const Eviction ev{id, e.bytes, e.dirty, e.alloc_time_s};
   release(id);
   return ev;
 }
 
 std::vector<TensorId> DeviceMemory::resident_ids() const {
   std::vector<TensorId> ids;
-  ids.reserve(entries_.size());
-  // entries_ is a hash map; its iteration order is unspecified and must not
-  // escape this class (determinism gate, DESIGN.md §5e). Sorting here, at
-  // the emission point, keeps every consumer — failure-path lost-tensor
-  // accounting, residency rebuilds, tests — independent of hash layout.
-  for (const auto& [id, entry] : entries_) {
-    (void)entry;
-    ids.push_back(id);
-  }
+  ids.reserve(resident_count_);
+  for (const TensorId id : lru_order()) ids.push_back(id);
   std::sort(ids.begin(), ids.end());
   return ids;
 }

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace micco {
 namespace {
 
-CliArgs parse(std::initializer_list<const char*> args) {
+CliArgs parse(std::initializer_list<const char*> args,
+             std::initializer_list<std::string_view> switches = {}) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
-  return CliArgs(static_cast<int>(argv.size()), argv.data());
+  return CliArgs(static_cast<int>(argv.size()), argv.data(), switches);
 }
 
 TEST(CliArgs, EqualsForm) {
@@ -99,6 +102,55 @@ TEST(CliArgs, WarnUnusedNamesEachUnreadFlagOnStderr) {
 TEST(CliArgs, EmptyFlagNameIsError) {
   const CliArgs args = parse({"--=x"});
   EXPECT_TRUE(args.error().has_value());
+}
+
+TEST(CliArgs, WholeValueNumbersParse) {
+  EXPECT_EQ(parse({"--n=-3"}).get_int("n", 0), -3);
+  EXPECT_DOUBLE_EQ(parse({"--x=1e-4"}).get_double("x", 0.0), 1e-4);
+  EXPECT_DOUBLE_EQ(parse({"--x", "2"}).get_double("x", 0.0), 2.0);
+}
+
+TEST(CliArgsDeathTest, MalformedIntegerExitsNamingTheFlag) {
+  EXPECT_EXIT((void)parse({"--gpus=abc"}).get_int("gpus", 8),
+              ::testing::ExitedWithCode(2),
+              "--gpus expects an integer, got 'abc'");
+  EXPECT_EXIT((void)parse({"--gpus=4x"}).get_int("gpus", 8),
+              ::testing::ExitedWithCode(2),
+              "--gpus expects an integer, got '4x'");
+  EXPECT_EXIT((void)parse({"--gpus="}).get_int("gpus", 8),
+              ::testing::ExitedWithCode(2),
+              "--gpus expects an integer, got ''");
+}
+
+TEST(CliArgsDeathTest, MalformedDoubleExitsNamingTheFlag) {
+  EXPECT_EXIT((void)parse({"--oversub=x2"}).get_double("oversub", 0.0),
+              ::testing::ExitedWithCode(2),
+              "--oversub expects a number, got 'x2'");
+  EXPECT_EXIT((void)parse({"--oversub=4x"}).get_double("oversub", 0.0),
+              ::testing::ExitedWithCode(2),
+              "--oversub expects a number, got '4x'");
+  EXPECT_EXIT((void)parse({"--oversub="}).get_double("oversub", 0.0),
+              ::testing::ExitedWithCode(2),
+              "--oversub expects a number, got ''");
+}
+
+TEST(CliArgs, SwitchLeavesFollowingFilePositional) {
+  const CliArgs args = parse({"report", "--pretty", "w.mw"}, {"pretty"});
+  ASSERT_EQ(args.positional().size(), 2u);
+  EXPECT_EQ(args.positional()[1], "w.mw");
+  EXPECT_TRUE(args.get_bool("pretty", false));
+  // A switch still takes an explicit `=value`.
+  EXPECT_FALSE(parse({"--pretty=off"}, {"pretty"}).get_bool("pretty", true));
+}
+
+TEST(CliArgs, UndeclaredSwitchAcceptsBooleanToken) {
+  const CliArgs args = parse({"--quick", "0"});
+  EXPECT_FALSE(args.get_bool("quick", true));
+}
+
+TEST(CliArgsDeathTest, BooleanNeverSwallowsAFileName) {
+  EXPECT_EXIT((void)parse({"--pretty", "w.mw"}).get_bool("pretty", false),
+              ::testing::ExitedWithCode(2), "--pretty takes no value");
 }
 
 TEST(CliArgs, ProgramName) {

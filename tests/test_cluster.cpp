@@ -236,6 +236,27 @@ TEST(Cluster, EvictionCreatesHostCopyOfIntermediate) {
   EXPECT_TRUE(sim.resident_on(0, 2));
 }
 
+TEST(Cluster, HugeIdIntermediateLineageTakesTheSpillPath) {
+  // Ids at or above 2^20 keep their produced/host-copy flags in the flag
+  // table's hash spill.
+  constexpr TensorId kBig = TensorId{1} << 20;
+  const std::uint64_t tensor_bytes = make_desc(0).bytes();
+  ClusterSimulator sim(small_cluster(2, 3 * tensor_bytes));
+  sim.execute(make_task(kBig, kBig + 1, kBig + 2), 0);
+  EXPECT_FALSE(sim.host_resident(kBig + 2));
+  sim.execute(make_task(kBig + 3, kBig + 4, kBig + 5), 0);  // evicts kBig..+2
+  EXPECT_FALSE(sim.resident_anywhere(kBig + 2));
+  EXPECT_TRUE(sim.host_resident(kBig + 2));  // written back on eviction
+  EXPECT_FALSE(sim.host_resident(kBig + 5));
+
+  // kBig+5 gains a replica on device 1, so losing device 0 loses nothing.
+  sim.execute(make_task(kBig + 5, kBig + 3, kBig + 6), 1);
+  EXPECT_TRUE(sim.fail_device(0, 0.0).empty());
+  // Device 1 held the last copy of both intermediates.
+  EXPECT_EQ(sim.fail_device(1, 0.0),
+            (std::vector<TensorId>{kBig + 5, kBig + 6}));
+}
+
 TEST(Cluster, FetchingDiscardedIntermediateAborts) {
   ClusterSimulator sim(small_cluster());
   sim.execute(make_task(0, 1, 2), 0);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "mem/policy.hpp"
 
@@ -18,6 +19,15 @@ std::optional<Eviction> evict_oldest(DeviceMemory& mem) {
   if (!victim.has_value()) return std::nullopt;
   return mem.evict(victim->id);
 }
+
+/// The recency order as a vector, least recently used first.
+std::vector<TensorId> lru(const DeviceMemory& mem) {
+  std::vector<TensorId> order;
+  for (const TensorId id : mem.lru_order()) order.push_back(id);
+  return order;
+}
+
+using Ids = std::vector<TensorId>;
 
 TEST(DeviceMemory, AllocateTracksUsage) {
   DeviceMemory mem(1000);
@@ -190,6 +200,94 @@ TEST(DeviceMemory, EvictionSequenceFollowsLruOrder) {
     EXPECT_EQ(ev->id, expected);
   }
   EXPECT_EQ(mem.resident_count(), 0u);
+}
+
+TEST(DeviceMemory, CopyEvolvesIndependentlyOfItsSource) {
+  // The oracle clones whole simulators per candidate assignment; a probe
+  // execution on the clone must never show through in the original.
+  DeviceMemory source(1000);
+  source.allocate(1, 100, false);
+  source.allocate(2, 200, true);
+  source.pin(2);
+
+  DeviceMemory copy = source;
+  copy.touch(1);
+  copy.unpin(2);
+  copy.allocate(3, 300, false);
+  EXPECT_EQ(lru(copy), (Ids{2, 1, 3}));
+  EXPECT_EQ(copy.used(), 600u);
+  EXPECT_FALSE(copy.pinned(2));
+
+  EXPECT_EQ(lru(source), (Ids{1, 2}));
+  EXPECT_EQ(source.used(), 300u);
+  EXPECT_TRUE(source.pinned(2));
+  EXPECT_FALSE(source.resident(3));
+
+  // And the other way round, through copy assignment.
+  DeviceMemory assigned(50);
+  assigned = source;
+  source.release(1);
+  EXPECT_EQ(lru(assigned), (Ids{1, 2}));
+  EXPECT_EQ(assigned.capacity(), 1000u);
+  EXPECT_EQ(assigned.bytes_of(1), 100u);
+  EXPECT_EQ(lru(source), (Ids{2}));
+}
+
+TEST(DeviceMemory, ReusedSlotKeepsRecencyOrder) {
+  DeviceMemory mem(1000);
+  mem.allocate(1, 100, false);  // a
+  mem.allocate(2, 100, false);  // b
+  mem.allocate(3, 100, false);  // c
+  mem.release(2);
+  mem.allocate(4, 100, false);  // d takes b's freed slot
+  EXPECT_EQ(lru(mem), (Ids{1, 3, 4}));
+  EXPECT_EQ(mem.resident_ids(), (Ids{1, 3, 4}));
+  for (const TensorId expected : {1u, 3u, 4u}) {
+    const auto ev = evict_oldest(mem);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->id, expected);
+  }
+}
+
+TEST(DeviceMemory, HugeIdsTakeTheSpillPath) {
+  // Ids at or above 2^20 live in the id table's hash spill, not its dense
+  // vector; every operation must behave exactly as for small ids.
+  constexpr TensorId kBig = TensorId{1} << 20;
+  DeviceMemory mem(1000);
+  mem.allocate(kBig + 7, 100, false);
+  mem.allocate(3, 100, false);
+  mem.allocate(kBig, 200, true);
+  EXPECT_TRUE(mem.resident(kBig + 7));
+  EXPECT_FALSE(mem.resident(kBig + 1));
+  EXPECT_EQ(mem.bytes_of(kBig), 200u);
+
+  mem.touch(kBig + 7);
+  EXPECT_EQ(lru(mem), (Ids{3, kBig, kBig + 7}));
+  EXPECT_EQ(mem.resident_ids(), (Ids{3, kBig, kBig + 7}));
+
+  mem.pin(kBig);
+  mem.release(3);
+  const auto ev = evict_oldest(mem);  // kBig is pinned: kBig+7 goes
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->id, kBig + 7);
+  EXPECT_FALSE(mem.resident(kBig + 7));
+  EXPECT_TRUE(mem.pinned(kBig));
+  EXPECT_EQ(mem.resident_ids(), (Ids{kBig}));
+
+  mem.unpin(kBig);
+  const Eviction last = mem.evict(kBig);
+  EXPECT_TRUE(last.dirty);
+  EXPECT_EQ(last.bytes, 200u);
+  EXPECT_EQ(mem.resident_count(), 0u);
+  EXPECT_EQ(mem.used(), 0u);
+}
+
+TEST(DeviceMemory, AllocationStampTravelsWithEviction) {
+  DeviceMemory mem(1000);
+  mem.allocate(1, 100, false, 2.5);
+  mem.allocate(2, 100, false);
+  EXPECT_EQ(mem.evict(1).alloc_time_s, std::optional<double>(2.5));
+  EXPECT_FALSE(mem.evict(2).alloc_time_s.has_value());
 }
 
 }  // namespace

@@ -1164,7 +1164,11 @@ Command command_by_name(const std::string& command) {
 
 int dispatch(int argc, char** argv) {
   if (argc < 2) return usage();
-  const CliArgs args(argc, argv);
+  // Every boolean flag of every verb: `--pretty w.mw` must leave the file
+  // positional instead of reading it as the switch's value.
+  const CliArgs args(argc, argv,
+                     {"async-copy", "gaussian", "mem-arbiter", "once", "p2p",
+                      "pretty", "shutdown", "wait"});
   if (args.error().has_value()) {
     std::fprintf(stderr, "micco: %s\n", args.error()->c_str());
     return 2;
